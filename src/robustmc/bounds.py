@@ -18,18 +18,7 @@ from dataclasses import dataclass
 
 from .pattern import GLOBAL, PER_COLUMN, NoiseBudget
 
-# Logarithm convention for every formula in this module.  The source
-# inequalities are union-bound derivations, where the natural log is standard;
-# switch here to probe sensitivity to the convention.
-LOG_BASE = math.e
-
 _SCAN_CAP = 10_000_000
-
-
-def _log(x: float) -> float:
-    if LOG_BASE == math.e:
-        return math.log(x)
-    return math.log(x, LOG_BASE)
 
 
 @dataclass(frozen=True)
@@ -96,7 +85,7 @@ def noiseless_bound(q: BoundQuery) -> BoundResult:
     if q.budget is not None:
         raise ValueError("noiseless bound takes no noise budget")
     branches = [
-        ("12log(d/eps)+12", 12.0 * _log(q.d / q.epsilon) + 12.0),
+        ("12log(d/eps)+12", 12.0 * math.log(q.d / q.epsilon) + 12.0),
         ("2r", float(2 * q.r)),
     ]
     threshold = max(value for _, value in branches)
@@ -108,16 +97,16 @@ def noiseless_bound(q: BoundQuery) -> BoundResult:
 def global_condition(l: int, d: int, epsilon: float, r: int, s: int) -> bool:
     """Whether l satisfies the global-noise sample inequality."""
     m = r + s + 1
-    lhs = l - 12.0 * m * _log(l / m)
-    rhs = max(12.0 * (_log(d / epsilon) + m), 2.0 * r, float(2 * r + s + 1))
+    lhs = l - 12.0 * m * math.log(l / m)
+    rhs = max(12.0 * (math.log(d / epsilon) + m), 2.0 * r, float(2 * r + s + 1))
     return lhs > rhs
 
 
 def columnwise_condition(l: int, d: int, epsilon: float, r: int, g: int) -> bool:
     """Whether l satisfies the column-wise-noise sample inequality."""
     m = g + 1
-    lhs = l - 12.0 * m * _log(l / m)
-    rhs = max(12.0 * (_log(d / epsilon) + m), 2.0 * r, float(r + g + 1))
+    lhs = l - 12.0 * m * math.log(l / m)
+    rhs = max(12.0 * (math.log(d / epsilon) + m), 2.0 * r, float(r + g + 1))
     return lhs > rhs
 
 
@@ -142,7 +131,7 @@ def global_noise_bound(q: BoundQuery) -> BoundResult:
     s = q.budget.amount
     m = q.r + s + 1
     branches = [
-        ("12(log(d/eps)+r+s+1)", 12.0 * (_log(q.d / q.epsilon) + m)),
+        ("12(log(d/eps)+r+s+1)", 12.0 * (math.log(q.d / q.epsilon) + m)),
         ("2r", float(2 * q.r)),
         ("2r+s+1", float(2 * q.r + s + 1)),
     ]
@@ -156,7 +145,7 @@ def columnwise_noise_bound(q: BoundQuery) -> BoundResult:
     g = q.budget.amount
     m = g + 1
     branches = [
-        ("12(log(d/eps)+g+1)", 12.0 * (_log(q.d / q.epsilon) + m)),
+        ("12(log(d/eps)+g+1)", 12.0 * (math.log(q.d / q.epsilon) + m)),
         ("2r", float(2 * q.r)),
         ("r+g+1", float(q.r + g + 1)),
     ]
@@ -213,11 +202,11 @@ class CoupledBoundResult:
 def coupled_columnwise_bound(d: int, epsilon: float, r: int | None = None) -> CoupledBoundResult:
     """Column-wise bound at g = ceil(l0/r), r defaulting to ceil(log d)."""
     if r is None:
-        r = math.ceil(_log(d))
+        r = math.ceil(math.log(d))
     l0 = noiseless_bound(BoundQuery(d, r, epsilon)).l_min
     g = math.ceil(l0 / r)
     result = columnwise_noise_bound(BoundQuery(d, r, epsilon, budget=NoiseBudget.per_column(g)))
-    ratio = result.l_min / max(r, _log(d))
+    ratio = result.l_min / max(r, math.log(d))
     return CoupledBoundResult(d, r, g, l0, result, ratio)
 
 

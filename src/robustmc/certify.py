@@ -22,10 +22,11 @@ Sets passing the predicate are the independent sets of a count matroid
 matroidal because k*r <= k*(r+1) - 1), and "columns from pairwise distinct
 origins" is a partition matroid.  A witness of a given size therefore exists
 iff the two matroids share a common independent set that large, which is
-decided exactly by augmenting-path matroid intersection; no search budget is
-involved for single witnesses.  Only the unique certificate, which needs two
-origin-disjoint witnesses, may fall back to a budgeted enumeration of first
-witnesses and report an honest Indeterminate.
+decided exactly by augmenting-path matroid intersection.  The unique
+certificate's two origin-disjoint witnesses are one common independent set
+of the direct sum of both count matroids (one copy of the columns each) and
+the origin partition matroid, so it is decided exactly the same way.  Every
+verdict is therefore Finite/Unique or Refuted, never indeterminate.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .pattern import ConstraintMatrix
-
-DEFAULT_SEARCH_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class Verdict(Enum):
     FINITE = "Finite"
     UNIQUE = "Unique"
     REFUTED = "Refuted"
-    INDETERMINATE = "Indeterminate"
 
 
 @dataclass(frozen=True)
@@ -101,23 +99,6 @@ class Certificate:
                     "min_slack": min_slack(cm, witness, cond) if witness else None,
                 }
         return doc
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _SearchBudget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self):
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise _BudgetExhausted
 
 
 def _max_flow(adj: list[list[list[int]]], source: int, sink: int) -> int:
@@ -238,52 +219,64 @@ def _addable(cm: ConstraintMatrix, members_rows: list, candidate: int, cond: Cou
     return _anchored_slack(trial, len(trial) - 1, cond.k, cond.r) >= 0
 
 
-def _max_rainbow_witness(
-    cm: ConstraintMatrix,
-    pool: Sequence[int],
-    target: int,
-    cond: CountCondition,
-) -> tuple[int, ...] | None:
-    """Largest set that is count-matroid independent with pairwise distinct origins.
+def _max_rainbow_witnesses(
+    cm: ConstraintMatrix, parts: Sequence[tuple[CountCondition, int]]
+) -> tuple[tuple[int, ...], ...] | None:
+    """Origin-distinct witnesses, one per (condition, size) part, or None if none exist.
 
-    Matroid intersection by augmenting paths over the exchange digraph: a
-    path starts at an outside column addable under the count matroid, hops to
-    the set member blocking its origin, hops out to any column the count
-    matroid accepts in that member's place, and so on until it reaches a
-    column with an unused origin; flipping the path grows the set by one.
-    Shortest paths (multi-source BFS) keep every intermediate set common
-    independent.  Stops early at `target`; returns None when the maximum is
-    smaller.  Deterministic: columns are scanned in canonical order.
+    Matroid intersection over one copy of the constraint columns per part.
+    The first matroid is the direct sum of the parts' count matroids (a
+    copy's independence sees only that copy's members); the second is the
+    origin partition matroid, capacity 1 per origin across all copies.  Each
+    part's size caps its count matroid's rank, so a common independent set of
+    the total size exists iff every copy can hold its full witness.
+
+    Augmenting paths over the exchange digraph: a path starts at an outside
+    element its copy's count matroid accepts, hops to the member blocking its
+    origin, hops out to any element of the member's own copy accepted in the
+    member's place, and so on until it reaches an element with an unused
+    origin; flipping the path grows the set by one.  An element of another
+    copy accepted in the member's place would already be a start, so
+    exchanges stay within a copy, and a copy already holding its size starts
+    no path.  Shortest paths (multi-source BFS) keep every intermediate set
+    common independent.  Deterministic: copies in order, columns in
+    canonical order within a copy.
     """
-    pool = sorted(pool)
-    in_set: dict[int, bool] = {c: False for c in pool}
-    members: list[int] = []
+    n = len(cm)
+    conds = [cond for cond, _ in parts]
+    caps = [cap for _, cap in parts]
+    total = sum(caps)
+    # element e is column e % n in copy e // n
+    in_set = [False] * (n * len(parts))
+    members: list[list[int]] = [[] for _ in parts]
 
-    def rows_excluding(skip: int | None = None) -> list:
-        return [cm.columns[c] for c in members if c != skip]
+    def rows_excluding(p: int, skip: int | None = None) -> list:
+        return [cm.columns[c] for c in members[p] if c != skip]
 
-    # greedy seed in canonical order
+    # greedy seed: each copy in canonical order until it holds its size
     used_origins: set[int] = set()
-    for c in pool:
-        if len(members) == target:
-            break
-        if cm.origins[c] in used_origins:
-            continue
-        if _addable(cm, rows_excluding(), c, cond):
-            members.append(c)
-            in_set[c] = True
-            used_origins.add(cm.origins[c])
+    for p, cond in enumerate(conds):
+        for c in range(n):
+            if len(members[p]) == caps[p]:
+                break
+            if cm.origins[c] in used_origins:
+                continue
+            if _addable(cm, rows_excluding(p), c, cond):
+                members[p].append(c)
+                in_set[p * n + c] = True
+                used_origins.add(cm.origins[c])
 
-    while len(members) < target:
-        outside = [c for c in pool if not in_set[c]]
-        if not outside:
-            return None
-        origin_member = {cm.origins[c]: c for c in members}
-        base_rows = rows_excluding()
-        sources = [y for y in outside if _addable(cm, base_rows, y, cond)]
+    while sum(map(len, members)) < total:
+        outside = [[p * n + c for c in range(n) if not in_set[p * n + c]] for p in range(len(parts))]
+        origin_member = {cm.origins[c]: p * n + c for p in range(len(parts)) for c in members[p]}
+        sources: list[int] = []
+        for p, cond in enumerate(conds):
+            if len(members[p]) < caps[p]:
+                base_rows = rows_excluding(p)
+                sources.extend(y for y in outside[p] if _addable(cm, base_rows, y % n, cond))
         if not sources:
             return None
-        sinks = {y for y in outside if cm.origins[y] not in origin_member}
+        sinks = {y for copy in outside for y in copy if cm.origins[y % n] not in origin_member}
 
         parent: dict[int, int | None] = {}
         queue: deque[int] = deque()
@@ -296,19 +289,20 @@ def _max_rainbow_witness(
             queue.append(y)
         while goal is None and queue:
             node = queue.popleft()
+            p, col = divmod(node, n)
             if not in_set[node]:
-                # outside column: its origin is blocked by exactly one member
-                blocker = origin_member[cm.origins[node]]
+                # outside element: its origin is blocked by exactly one member
+                blocker = origin_member[cm.origins[col]]
                 if blocker not in parent:
                     parent[blocker] = node
                     queue.append(blocker)
             else:
-                # member column: the count matroid accepts these replacements
-                rows = rows_excluding(skip=node)
-                for y in outside:
+                # member: its copy's count matroid accepts these replacements
+                rows = rows_excluding(p, skip=col)
+                for y in outside[p]:
                     if y in parent:
                         continue
-                    if _addable(cm, rows, y, cond):
+                    if _addable(cm, rows, y % n, conds[p]):
                         parent[y] = node
                         if y in sinks:
                             goal = y
@@ -316,90 +310,22 @@ def _max_rainbow_witness(
                         queue.append(y)
         if goal is None:
             return None
-        # flip the path: outside columns enter, member columns leave
+        # flip the path: outside elements enter, members leave
         node = goal
         while node is not None:
             in_set[node] = not in_set[node]
             node = parent[node]
-        members = [c for c in pool if in_set[c]]
+        members = [[c for c in range(n) if in_set[p * n + c]] for p in range(len(parts))]
 
-    return tuple(sorted(members))
-
-
-class _WitnessDFS:
-    """Complete budgeted enumeration of origin-distinct witnesses.
-
-    Used only by the unique-certificate search, where the first witness must
-    sometimes be re-chosen to leave room for the second.  Branches try the
-    highest-incremental-slack column of each origin first (ties by extra
-    row), then skip the origin, so the traversal is exhaustive when it
-    finishes within budget.
-    """
-
-    def __init__(self, cm: ConstraintMatrix, groups, target: int, cond: CountCondition, budget: _SearchBudget):
-        self.cm = cm
-        self.groups = groups
-        self.target = target
-        self.cond = cond
-        self.budget = budget
-        n_groups = len(groups)
-        suffix = [0] * (n_groups + 1)
-        for p in range(n_groups - 1, -1, -1):
-            mask = suffix[p + 1]
-            for col in groups[p][1]:
-                mask |= cm.row_mask(col)
-            suffix[p] = mask
-        self.suffix_mask = suffix
-        self.chosen: list[int] = []
-        self.chosen_rows: list[tuple[int, ...]] = []
-        self.chosen_mask = 0
-
-    def witnesses(self) -> Iterator[tuple[int, ...]]:
-        yield from self._descend(0)
-
-    def _descend(self, pos: int) -> Iterator[tuple[int, ...]]:
-        self.budget.tick()
-        if len(self.chosen) == self.target:
-            yield tuple(self.chosen)
-            return
-        if len(self.groups) - pos < self.target - len(self.chosen):
-            return
-        # the full witness needs k*rows(W) >= target + k*r; prune when even
-        # the whole remaining pool cannot cover enough rows
-        k, r = self.cond.k, self.cond.r
-        reachable = (self.chosen_mask | self.suffix_mask[pos]).bit_count()
-        if k * reachable < self.target + k * r:
-            return
-        ranked = []
-        for col in self.groups[pos][1]:
-            rows = self.cm.columns[col]
-            trial = self.chosen_rows + [rows]
-            slack = _anchored_slack(trial, len(trial) - 1, k, r)
-            if slack >= 0:
-                ranked.append((-slack, self.cm.extras[col], col, rows))
-        ranked.sort()
-        for _neg, _extra, col, rows in ranked:
-            self.chosen.append(col)
-            self.chosen_rows.append(rows)
-            saved = self.chosen_mask
-            self.chosen_mask |= self.cm.row_mask(col)
-            yield from self._descend(pos + 1)
-            self.chosen.pop()
-            self.chosen_rows.pop()
-            self.chosen_mask = saved
-        yield from self._descend(pos + 1)
+    return tuple(map(tuple, members))
 
 
-def find_finite_certificate(
-    cm: ConstraintMatrix, r: int, search_budget: int | None = DEFAULT_SEARCH_BUDGET
-) -> Certificate:
+def find_finite_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
     """Search for an origin-distinct witness of r*(d-r) columns passing the k=r condition.
 
     Decided exactly by matroid intersection, so the verdict is always Finite
-    or Refuted; `search_budget` is accepted for interface symmetry with the
-    unique search but is not consumed here.
+    or Refuted.
     """
-    del search_budget
     if r != cm.r:
         raise ValueError("constraint matrix was built with a different rank")
     target = r * (cm.d - r)
@@ -418,37 +344,26 @@ def find_finite_certificate(
             note="fewer source columns with constraint columns than the witness needs",
         )
     cond = CountCondition.finite(r)
-    witness = _max_rainbow_witness(cm, range(len(cm)), target, cond)
-    if witness is None:
+    found = _max_rainbow_witnesses(cm, ((cond, target),))
+    if found is None:
         return Certificate(
             Verdict.REFUTED,
             r,
             refutation={"kind": "no_witness", "required": target},
             note="matroid intersection proves no witness of the required size exists",
         )
+    (witness,) = found
     if not validate_witness(cm, witness, cond):
         raise RuntimeError("internal error: witness failed independent validation")
     return Certificate(Verdict.FINITE, r, finite_witness=witness)
 
 
-def _side_witness(
-    cm: ConstraintMatrix, groups, excluded_origins: set[int], target: int, cond: CountCondition
-) -> tuple[int, ...] | None:
-    pool = [c for origin, cols in groups if origin not in excluded_origins for c in cols]
-    if not pool:
-        return None
-    return _max_rainbow_witness(cm, pool, target, cond)
-
-
-def find_unique_certificate(
-    cm: ConstraintMatrix, r: int, search_budget: int | None = DEFAULT_SEARCH_BUDGET
-) -> Certificate:
+def find_unique_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
     """Search for two origin-disjoint witnesses: r*(d-r) columns at k=r plus d-r at k=1.
 
-    Fast path: take the matroid-intersection finite witness and complete it
-    with a second witness on the remaining origins.  If that fails, fall back
-    to a budgeted exhaustive enumeration of finite witnesses, completing each
-    exactly; exhausting the budget yields Indeterminate.
+    Decided exactly by one matroid intersection over two copies of the
+    columns (see `_max_rainbow_witnesses`), so the verdict is always Unique
+    or Refuted.
     """
     if r != cm.r:
         raise ValueError("constraint matrix was built with a different rank")
@@ -471,44 +386,15 @@ def find_unique_certificate(
         )
     cond_main = CountCondition.finite(r)
     cond_side = CountCondition.unique(r)
-
-    def complete(main: tuple[int, ...]) -> Certificate | None:
-        used = {cm.origins[i] for i in main}
-        side = _side_witness(cm, groups, used, target_side, cond_side)
-        if side is None:
-            return None
-        if not validate_witness(cm, main, cond_main) or not validate_witness(cm, side, cond_side):
-            raise RuntimeError("internal error: witness failed independent validation")
-        return Certificate(Verdict.UNIQUE, r, finite_witness=main, unique_witness=side)
-
-    fast = _max_rainbow_witness(cm, range(len(cm)), target_main, cond_main)
-    if fast is None:
+    found = _max_rainbow_witnesses(cm, ((cond_main, target_main), (cond_side, target_side)))
+    if found is None:
         return Certificate(
             Verdict.REFUTED,
             r,
-            refutation={"kind": "no_witness", "required": target_main},
-            note="matroid intersection proves no finite witness exists",
+            refutation={"kind": "no_witness", "required": required},
+            note="matroid intersection proves no origin-disjoint witness pair exists",
         )
-    cert = complete(fast)
-    if cert is not None:
-        return cert
-
-    budget = _SearchBudget(search_budget)
-    dfs = _WitnessDFS(cm, groups, target_main, cond_main, budget)
-    try:
-        for main in dfs.witnesses():
-            cert = complete(main)
-            if cert is not None:
-                return cert
-        return Certificate(
-            Verdict.REFUTED,
-            r,
-            refutation={"kind": "search_exhausted", "nodes": budget.used},
-            note="complete search found no disjoint witness pair",
-        )
-    except _BudgetExhausted:
-        return Certificate(
-            Verdict.INDETERMINATE,
-            r,
-            note=f"search budget of {budget.limit} nodes exhausted",
-        )
+    main, side = found
+    if not validate_witness(cm, main, cond_main) or not validate_witness(cm, side, cond_side):
+        raise RuntimeError("internal error: witness failed independent validation")
+    return Certificate(Verdict.UNIQUE, r, finite_witness=main, unique_witness=side)

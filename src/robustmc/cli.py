@@ -1,9 +1,9 @@
 """Command-line interface: verify, bounds, sweep, rank, identify, simulate.
 
 Exit codes: 0 for positive verdicts and successful computations, 1 for
-refutations and failed support searches, 2 for indeterminate outcomes
-(search or enumeration budgets exhausted), 64 for usage errors, 65 for
-malformed input files.
+refutations and failed support searches, 2 for indeterminate outcomes (the
+removal enumeration exceeded --cap; certificates themselves are always
+decided), 64 for usage errors, 65 for malformed input files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import bounds, certify, rank, robust, sim
+from . import bounds, rank, robust, sim
 from .pattern import NoiseBudget, PatternFormatError, load_pattern
 
 EXIT_POSITIVE = 0
@@ -63,12 +63,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--noise", default="global:0")
     p.add_argument("--unique", action="store_true")
-    p.add_argument("--search-budget", type=int, default=None)
     p.add_argument("--cap", type=int, default=robust.DEFAULT_ENUMERATION_CAP)
     p.add_argument("--prescreen", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("bounds", help="minimal per-column sample count for a guarantee")
     p.add_argument("--d", type=int, required=True)
@@ -89,10 +87,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rank", help="estimate the rank ceiling of a pattern")
     p.add_argument("--pattern", required=True)
     p.add_argument("--noise", default="global:0")
-    p.add_argument("--search-budget", type=int, default=None)
     p.add_argument("--cap", type=int, default=robust.DEFAULT_ENUMERATION_CAP)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("identify", help="recover the noise support from observations")
     p.add_argument("--data", required=True)
@@ -113,23 +109,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise", default="global:0")
     p.add_argument("--target", choices=("finite", "unique"), default="finite")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
 def _cmd_verify(args, out) -> int:
     pattern = load_pattern(args.pattern)
     budget = _parse_budget(args.noise)
-    kwargs = dict(
-        search_budget=args.search_budget
-        if args.search_budget is not None
-        else certify.DEFAULT_SEARCH_BUDGET,
-        enumeration_cap=args.cap,
-        prescreen=args.prescreen,
-        seed=args.seed,
-    )
     verifier = robust.verify_unique if args.unique else robust.verify_finite
-    verdict = verifier(pattern, args.rank, budget, **kwargs)
+    verdict = verifier(
+        pattern, args.rank, budget, enumeration_cap=args.cap, prescreen=args.prescreen, seed=args.seed
+    )
     _emit(verdict.to_dict(), args.format, out)
     if verdict.verdict in (robust.RobustOutcome.FINITE, robust.RobustOutcome.UNIQUE):
         return EXIT_POSITIVE
@@ -163,10 +152,7 @@ def _cmd_sweep(args, out) -> int:
 def _cmd_rank(args, out) -> int:
     pattern = load_pattern(args.pattern)
     budget = _parse_budget(args.noise)
-    kwargs = {}
-    if args.search_budget is not None:
-        kwargs["search_budget"] = args.search_budget
-    ceiling = rank.estimate_rank_ceiling(pattern, budget, enumeration_cap=args.cap, **kwargs)
+    ceiling = rank.estimate_rank_ceiling(pattern, budget, enumeration_cap=args.cap)
     _emit(ceiling.to_dict(), args.format, out)
     if not ceiling.exact:
         return EXIT_INDETERMINATE

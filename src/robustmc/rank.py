@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bounds, certify, robust
+from . import bounds, robust
 from .pattern import NoiseBudget, SamplingPattern
 
 
@@ -32,24 +32,21 @@ class RankCeiling:
 def estimate_rank_ceiling(
     pattern: SamplingPattern,
     budget: NoiseBudget,
-    search_budget: int | None = certify.DEFAULT_SEARCH_BUDGET,
     enumeration_cap: int = robust.DEFAULT_ENUMERATION_CAP,
 ) -> RankCeiling:
     """Ascending scan of robust finite verification; stops at the first failure.
 
     Ranks whose per-column premise fails come back Refuted from the verifier,
     which also terminates the scan.  `exact` is False whenever the stopping
-    verdict was Indeterminate rather than Refuted, leaving the ceiling a lower
-    bound only.
+    verdict was Indeterminate (the removal enumeration exceeded the cap)
+    rather than Refuted, leaving the ceiling a lower bound only.
     """
     per_rank: dict[int, robust.RobustVerdict] = {}
     r_star = 0
     exact = True
     r = 1
     while r <= pattern.d + 1:
-        verdict = robust.verify_finite(
-            pattern, r, budget, search_budget=search_budget, enumeration_cap=enumeration_cap
-        )
+        verdict = robust.verify_finite(pattern, r, budget, enumeration_cap=enumeration_cap)
         per_rank[r] = verdict
         if verdict.verdict in (robust.RobustOutcome.FINITE, robust.RobustOutcome.UNIQUE):
             r_star = r

@@ -4,17 +4,16 @@ The finite (resp. unique) verdict holds when every admissible removal of the
 budgeted noise support leaves a pattern whose constraint matrix carries a
 finite (resp. unique plus disjoint) certificate.  Global budgets remove
 exactly s cells for the finite check and s+1 for the unique check; per-column
-budgets remove exactly g+1 cells per column for both.  Enumeration is exact
-with early exit on the first failure; a configurable cap turns oversized
-enumerations into an honest Indeterminate.
+budgets remove exactly g+1 cells per column for both.  Global enumeration is
+exact with early exit on the first failure; certificates are always decided,
+so the only Indeterminate is an enumeration larger than the configurable cap.
 
-Note that the per-column quantifier admits coordinated removals that empty an
-entire row whenever every column observing that row removes it, and a pattern
-with an empty row is never finitely completable; the per-column checks are
-therefore refuted on virtually every pattern, with the row-erasing removal
-reported as the witness.  The corresponding probabilistic bounds remain
-useful as formulas; the deterministic quantifier is implemented exactly as
-stated.
+The per-column quantifier needs no enumeration.  Once the premise holds, its
+first removal in lexicographic order (the first g+1 observed cells of every
+column) empties the smallest observed row, and a pattern with an empty row is
+never finitely completable.  So per-column checks are always refuted by that
+removal, which is built directly and re-checked by the certificate search.
+The corresponding probabilistic bounds remain useful as formulas.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class RobustVerdict:
     failing_removal: RemovalSet | None = None
     reason: str = ""
     premise_violation: bool = False
-    indeterminate_removals: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +67,6 @@ class RobustVerdict:
             ),
             "reason": self.reason,
             "premise_violation": self.premise_violation,
-            "indeterminate_removals": self.indeterminate_removals,
         }
 
 
@@ -82,10 +79,7 @@ class NoSupportFoundError(RuntimeError):
 
 
 def _premise_failure(pattern: SamplingPattern, r: int, budget: NoiseBudget, unique: bool) -> str | None:
-    if budget.kind == GLOBAL:
-        floor = r + budget.amount + (1 if unique else 0)
-    else:
-        floor = r + budget.amount + 1
+    floor = r + budget.amount + (1 if unique or budget.kind != GLOBAL else 0)
     counts = pattern.column_counts()
     for j, l in enumerate(counts):
         if l < floor:
@@ -93,24 +87,15 @@ def _premise_failure(pattern: SamplingPattern, r: int, budget: NoiseBudget, uniq
     return None
 
 
-def _removal_extra(budget: NoiseBudget, unique: bool) -> int:
-    if budget.kind == GLOBAL:
-        return 1 if unique else 0
-    return 1
+def _row_erasing_removal(pattern: SamplingPattern, need: int) -> RemovalSet:
+    """The first `need` observed cells of every column: the first per-column removal.
 
-
-def _random_removal(pattern: SamplingPattern, budget: NoiseBudget, extra: int, rng) -> RemovalSet:
-    need = budget.amount + extra
-    if budget.kind == GLOBAL:
-        cells = pattern.cells()
-        picks = rng.choice(len(cells), size=need, replace=False)
-        return RemovalSet(frozenset(cells[i] for i in picks))
-    chosen: list[Cell] = []
-    for j in range(pattern.N):
-        col = pattern.column_rows(j)
-        picks = rng.choice(len(col), size=need, replace=False)
-        chosen.extend((col[i], j) for i in picks)
-    return RemovalSet(frozenset(chosen))
+    The smallest observed row is the first cell of every column observing it,
+    so this removal empties that row.
+    """
+    return RemovalSet(
+        frozenset((i, j) for j in range(pattern.N) for i in pattern.column_rows(j)[:need])
+    )
 
 
 def _verify(
@@ -118,7 +103,6 @@ def _verify(
     r: int,
     budget: NoiseBudget,
     unique: bool,
-    search_budget: int | None,
     enumeration_cap: int,
     prescreen: int,
     seed: int,
@@ -127,7 +111,25 @@ def _verify(
     failure = _premise_failure(pattern, r, budget, unique)
     if failure is not None:
         return RobustVerdict(RobustOutcome.REFUTED, reason=failure, premise_violation=True)
-    extra = _removal_extra(budget, unique)
+
+    def check(removal: RemovalSet) -> certify.Certificate:
+        cm = build_constraint_matrix(remove_entries(pattern, removal), r)
+        if unique:
+            return certify.find_unique_certificate(cm, r)
+        return certify.find_finite_certificate(cm, r)
+
+    if budget.kind != GLOBAL:
+        # the premise gives r < d; with a row empty, a finite witness W would
+        # need r*rows(W) >= |W| + r*r = r*d while rows(W) <= d-1
+        removal = _row_erasing_removal(pattern, budget.amount + 1)
+        cert = check(removal)
+        if cert.verdict != certify.Verdict.REFUTED:
+            raise RuntimeError("internal error: a row-erasing removal kept a certificate")
+        return RobustVerdict(
+            RobustOutcome.REFUTED, checked=1, failing_removal=removal, reason=cert.note
+        )
+
+    extra = 1 if unique else 0
     total = count_removals(pattern, budget, extra)
     if total > enumeration_cap:
         return RobustVerdict(
@@ -135,18 +137,14 @@ def _verify(
             reason=f"{total} removal patterns exceed the enumeration cap of {enumeration_cap}",
         )
 
-    def check(removal: RemovalSet) -> certify.Certificate:
-        cm = build_constraint_matrix(remove_entries(pattern, removal), r)
-        if unique:
-            return certify.find_unique_certificate(cm, r, search_budget)
-        return certify.find_finite_certificate(cm, r, search_budget)
-
     checked = 0
     if prescreen > 0:
         # cheap randomized counterexample hunt; can only refute, never accept
         rng = np.random.default_rng([seed, 0x5EED])
+        cells = pattern.cells()
         for _ in range(prescreen):
-            removal = _random_removal(pattern, budget, extra, rng)
+            picks = rng.choice(len(cells), size=budget.amount + extra, replace=False)
+            removal = RemovalSet(frozenset(cells[i] for i in picks))
             checked += 1
             if check(removal).verdict == certify.Verdict.REFUTED:
                 return RobustVerdict(
@@ -156,7 +154,6 @@ def _verify(
                     reason="randomized prescreen found a failing removal",
                 )
 
-    indeterminate = 0
     for removal in enumerate_removals(pattern, budget, extra):
         checked += 1
         cert = check(removal)
@@ -167,15 +164,6 @@ def _verify(
                 failing_removal=removal,
                 reason=cert.note,
             )
-        if cert.verdict == certify.Verdict.INDETERMINATE:
-            indeterminate += 1
-    if indeterminate:
-        return RobustVerdict(
-            RobustOutcome.INDETERMINATE,
-            checked=checked,
-            reason=f"{indeterminate} removal patterns hit the certificate search budget",
-            indeterminate_removals=indeterminate,
-        )
     return RobustVerdict(positive, checked=checked)
 
 
@@ -183,26 +171,24 @@ def verify_finite(
     pattern: SamplingPattern,
     r: int,
     budget: NoiseBudget,
-    search_budget: int | None = certify.DEFAULT_SEARCH_BUDGET,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     prescreen: int = 0,
     seed: int = 0,
 ) -> RobustVerdict:
     """Finite completability under the budget: every removal keeps a finite certificate."""
-    return _verify(pattern, r, budget, False, search_budget, enumeration_cap, prescreen, seed)
+    return _verify(pattern, r, budget, False, enumeration_cap, prescreen, seed)
 
 
 def verify_unique(
     pattern: SamplingPattern,
     r: int,
     budget: NoiseBudget,
-    search_budget: int | None = certify.DEFAULT_SEARCH_BUDGET,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     prescreen: int = 0,
     seed: int = 0,
 ) -> RobustVerdict:
     """Unique completability under the budget: every removal keeps a disjoint witness pair."""
-    return _verify(pattern, r, budget, True, search_budget, enumeration_cap, prescreen, seed)
+    return _verify(pattern, r, budget, True, enumeration_cap, prescreen, seed)
 
 
 def identify_noise_support(

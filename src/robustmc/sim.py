@@ -2,9 +2,11 @@
 
 Each trial draws exactly l distinct observed rows per column (the bounds'
 premise met with equality), runs the robust verifier, and counts a pass only
-on a positive verdict; Indeterminate is a failure, so every reported rate is
-conservative.  Per-trial RNG streams derive from (seed, trial index), making
-results independent of any execution schedule.
+on a positive verdict.  Certificates are decided exactly, so a trial is
+Indeterminate only when its removal enumeration exceeds the cap; that counts
+as a failure, so every reported rate is conservative.  Per-trial RNG streams
+derive from (seed, trial index), making results independent of any execution
+schedule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .pattern import GLOBAL, NoiseBudget, SamplingPattern
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
-DEFAULT_TRIAL_SEARCH_BUDGET = 3000
 DEFAULT_TRIAL_ENUMERATION_CAP = 200_000
 
 
@@ -85,9 +86,7 @@ def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
 
 
 def estimate_pass_probability(
-    cfg: TrialConfig,
-    search_budget: int | None = DEFAULT_TRIAL_SEARCH_BUDGET,
-    enumeration_cap: int = DEFAULT_TRIAL_ENUMERATION_CAP,
+    cfg: TrialConfig, enumeration_cap: int = DEFAULT_TRIAL_ENUMERATION_CAP
 ) -> TrialOutcome:
     """Fraction of sampled patterns passing the robust verifier, with Wilson 95% CI."""
     verifier = robust.verify_unique if cfg.target == "unique" else robust.verify_finite
@@ -97,13 +96,7 @@ def estimate_pass_probability(
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
         pattern = sample_pattern(cfg.d, cfg.N, cfg.l, rng)
-        verdict = verifier(
-            pattern,
-            cfg.r,
-            cfg.budget,
-            search_budget=search_budget,
-            enumeration_cap=enumeration_cap,
-        )
+        verdict = verifier(pattern, cfg.r, cfg.budget, enumeration_cap=enumeration_cap)
         if verdict.verdict in (robust.RobustOutcome.FINITE, robust.RobustOutcome.UNIQUE):
             passes += 1
         elif verdict.premise_violation:
@@ -147,7 +140,6 @@ def empirical_threshold(
     trials: int,
     seed: int,
     target: str = "finite",
-    search_budget: int | None = DEFAULT_TRIAL_SEARCH_BUDGET,
     enumeration_cap: int = DEFAULT_TRIAL_ENUMERATION_CAP,
 ) -> ThresholdResult:
     """Smallest l whose estimated pass rate reaches 1 - epsilon, scanning up to d.
@@ -161,7 +153,7 @@ def empirical_threshold(
     threshold = None
     for l in range(_premise_floor(r, budget, target), d + 1):
         cfg = TrialConfig(d, N, r, l, budget, trials, seed=seed * 1_000_003 + l, target=target)
-        outcome = estimate_pass_probability(cfg, search_budget, enumeration_cap)
+        outcome = estimate_pass_probability(cfg, enumeration_cap)
         rows.append((l, outcome))
         if outcome.point_estimate >= 1.0 - epsilon:
             threshold = l

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustmc.certify import (
     Certificate,
@@ -155,7 +158,7 @@ class TestBruteForceAgreement:
     """Certificate existence cross-checked against exhaustive enumeration."""
 
     def test_finite_verdicts_match_brute_force(self):
-        from itertools import combinations, product
+        from itertools import product
 
         rng = random.Random(99)
         checked = 0
@@ -188,3 +191,50 @@ class TestBruteForceAgreement:
             cert = find_finite_certificate(cm, r)
             assert (cert.verdict == Verdict.FINITE) == exists
             checked += 1
+
+
+def _witness_origin_sets(cm, size, cond):
+    """Origin bitmasks of every origin-distinct size-column set passing the condition."""
+    found = set()
+    for cols in combinations(range(len(cm)), size):
+        origins = {cm.origins[i] for i in cols}
+        if len(origins) == size and min_slack_exhaustive(cm, cols, cond) >= 0:
+            found.add(sum(1 << o for o in origins))
+    return found
+
+
+@st.composite
+def small_patterns(draw):
+    """Patterns with d <= 5, r <= 2, N <= 8 and enough data columns for a witness pair."""
+    d, r = draw(st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 2), (5, 1)]))
+    N = draw(st.integers((r + 1) * (d - r), 8))
+    # at most two constraint columns per data column keeps the oracle cheap
+    columns = [
+        draw(st.sets(st.integers(0, d - 1), min_size=r + 1, max_size=r + 2)) for _ in range(N)
+    ]
+    cells = [(i, j) for j, rows in enumerate(columns) for i in rows]
+    return build_constraint_matrix(SamplingPattern.from_cells(d, N, cells), r), r
+
+
+class TestUniqueDifferential:
+    """The unique certificate agrees with brute-force enumeration of witness pairs."""
+
+    @given(small_patterns())
+    @settings(deadline=None, max_examples=150)
+    def test_unique_verdict_matches_brute_force(self, case):
+        cm, r = case
+        cond_main, cond_side = CountCondition.finite(r), CountCondition.unique(r)
+        mains = _witness_origin_sets(cm, r * (cm.d - r), cond_main)
+        sides = _witness_origin_sets(cm, cm.d - r, cond_side)
+        exists = any(m & s == 0 for m in mains for s in sides)
+
+        cert = find_unique_certificate(cm, r)
+        assert cert.verdict in (Verdict.UNIQUE, Verdict.REFUTED)
+        assert (cert.verdict == Verdict.UNIQUE) == exists
+        assert (find_finite_certificate(cm, r).verdict == Verdict.FINITE) == bool(mains)
+        if exists:
+            assert validate_witness(cm, cert.finite_witness, cond_main)
+            assert validate_witness(cm, cert.unique_witness, cond_side)
+            main_origins = {cm.origins[i] for i in cert.finite_witness}
+            side_origins = {cm.origins[i] for i in cert.unique_witness}
+            assert not main_origins & side_origins

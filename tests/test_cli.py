@@ -50,6 +50,11 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--search-budget", "--threads"])
+    def test_removed_tuning_flags_are_usage_errors(self, full_pattern_file, flag):
+        code, _ = invoke(["verify", "--pattern", full_pattern_file, "--rank", "1", flag, "2"])
+        assert code == 64
+
     def test_duplicate_cell_file_is_data_error(self, tmp_path):
         p = tmp_path / "dup.pat"
         p.write_text("2 2\n0 0\n0 0\n")

@@ -9,6 +9,7 @@ from robustmc.pattern import (
     PatternFormatError,
     SamplingPattern,
     build_constraint_matrix,
+    enumerate_removals,
     remove_entries,
 )
 from robustmc.robust import (
@@ -97,6 +98,15 @@ class TestVerifyFinite:
         assert verdict.checked == 1
         assert verdict.failing_removal.cells == frozenset({(0, 0), (0, 1), (0, 2)})
 
+    def test_per_column_refutes_without_enumerating(self):
+        # 8**30 per-column removals, far past the enumeration cap; the first
+        # one erases row 0 and is decided directly
+        pattern = SamplingPattern.full(8, 30)
+        verdict = verify_finite(pattern, 1, NoiseBudget.per_column(0))
+        assert verdict.verdict == RobustOutcome.REFUTED
+        assert verdict.checked == 1
+        assert verdict.failing_removal.cells == frozenset((0, j) for j in range(30))
+
     def test_prescreen_can_refute(self):
         pattern = SamplingPattern.from_cells(
             3, 2, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
@@ -140,6 +150,27 @@ class TestVerifyUnique:
         assert uniq.verdict == RobustOutcome.REFUTED
         assert fin.verdict == RobustOutcome.REFUTED
         assert uniq.failing_removal == fin.failing_removal
+
+    def test_per_column_refutation_is_the_first_enumerated_failure(self):
+        rng = random.Random(190)
+        for _ in range(40):
+            r, g = rng.randint(1, 2), rng.randint(0, 1)
+            pattern = random_pattern(rng, 5, rng.randint(1, 6), r + g + 1)
+            budget = NoiseBudget.per_column(g)
+            for verifier, find in (
+                (verify_finite, certify.find_finite_certificate),
+                (verify_unique, certify.find_unique_certificate),
+            ):
+                verdict = verifier(pattern, r, budget)
+                first_failure = next(
+                    removal
+                    for removal in enumerate_removals(pattern, budget, extra=1)
+                    if find(build_constraint_matrix(remove_entries(pattern, removal), r), r).verdict
+                    == certify.Verdict.REFUTED
+                )
+                assert verdict.verdict == RobustOutcome.REFUTED
+                assert verdict.checked == 1
+                assert verdict.failing_removal == first_failure
 
 
 class TestGMonotonicity:

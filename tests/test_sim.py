@@ -53,6 +53,15 @@ class TestEstimate:
         assert outcome.pass_count == 0
         assert outcome.indeterminate_count == 5
 
+    def test_unique_target_decided_exactly(self):
+        # a trial whose unique certificate needs the first witness re-chosen
+        cfg = TrialConfig(
+            8, 24, 2, 4, NoiseBudget.global_noise(0), trials=1, seed=10, target="unique"
+        )
+        outcome = estimate_pass_probability(cfg)
+        assert outcome.indeterminate_count == 0
+        assert outcome.pass_count == 1
+
     def test_unique_target(self):
         cfg = TrialConfig(
             3, 6, 1, 3, NoiseBudget.global_noise(0), trials=5, seed=7, target="unique"
