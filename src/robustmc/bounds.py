@@ -66,18 +66,13 @@ class BoundResult:
         }
 
 
-def _n_checks(q: BoundQuery) -> tuple[bool | None, bool | None]:
-    if q.N is None:
-        return None, None
-    return q.N >= q.r * (q.d - q.r), q.N >= (q.r + 1) * (q.d - q.r)
-
-
-def _binding(branches: list[tuple[str, float]]) -> str:
-    best = max(value for _, value in branches)
-    for label, value in branches:
-        if value == best:
-            return label
-    raise AssertionError("unreachable")
+def _result(q: BoundQuery, l_min: int, branches: list[tuple[str, float]]) -> BoundResult:
+    """The bound at l_min; the binding branch is the first of the largest."""
+    binding = max(branches, key=lambda branch: branch[1])[0]
+    finite_ok = unique_ok = None
+    if q.N is not None:
+        finite_ok, unique_ok = q.N >= q.r * (q.d - q.r), q.N >= (q.r + 1) * (q.d - q.r)
+    return BoundResult(l_min, binding, l_min <= q.d, q.premise_ok, finite_ok, unique_ok)
 
 
 def noiseless_bound(q: BoundQuery) -> BoundResult:
@@ -89,67 +84,64 @@ def noiseless_bound(q: BoundQuery) -> BoundResult:
         ("2r", float(2 * q.r)),
     ]
     threshold = max(value for _, value in branches)
-    l_min = math.floor(threshold) + 1
-    finite_ok, unique_ok = _n_checks(q)
-    return BoundResult(l_min, _binding(branches), l_min <= q.d, q.premise_ok, finite_ok, unique_ok)
+    return _result(q, math.floor(threshold) + 1, branches)
+
+
+def _noisy_branches(
+    d: int, epsilon: float, r: int, budget: NoiseBudget
+) -> tuple[int, list[tuple[str, float]]]:
+    """m and the labelled right-hand branches of a noisy sample inequality.
+
+    The global and column-wise inequalities differ only in m (r+s+1 or g+1)
+    and in their third branch (2r+s+1 or r+g+1).
+    """
+    a = budget.amount
+    if budget.kind == GLOBAL:
+        m, m_label, third, third_label = r + a + 1, "r+s+1", 2 * r + a + 1, "2r+s+1"
+    else:
+        m, m_label, third, third_label = a + 1, "g+1", r + a + 1, "r+g+1"
+    return m, [
+        (f"12(log(d/eps)+{m_label})", 12.0 * (math.log(d / epsilon) + m)),
+        ("2r", float(2 * r)),
+        (third_label, float(third)),
+    ]
+
+
+def _holds(l: int, m: int, branches: list[tuple[str, float]]) -> bool:
+    return l - 12.0 * m * math.log(l / m) > max(value for _, value in branches)
 
 
 def global_condition(l: int, d: int, epsilon: float, r: int, s: int) -> bool:
     """Whether l satisfies the global-noise sample inequality."""
-    m = r + s + 1
-    lhs = l - 12.0 * m * math.log(l / m)
-    rhs = max(12.0 * (math.log(d / epsilon) + m), 2.0 * r, float(2 * r + s + 1))
-    return lhs > rhs
+    return _holds(l, *_noisy_branches(d, epsilon, r, NoiseBudget.global_noise(s)))
 
 
 def columnwise_condition(l: int, d: int, epsilon: float, r: int, g: int) -> bool:
     """Whether l satisfies the column-wise-noise sample inequality."""
-    m = g + 1
-    lhs = l - 12.0 * m * math.log(l / m)
-    rhs = max(12.0 * (math.log(d / epsilon) + m), 2.0 * r, float(r + g + 1))
-    return lhs > rhs
+    return _holds(l, *_noisy_branches(d, epsilon, r, NoiseBudget.per_column(g)))
 
 
-def _scan(q: BoundQuery, m: int, condition, binding_branches) -> BoundResult:
-    l = math.floor(12 * m) + 1
-    while l <= _SCAN_CAP:
-        if condition(l):
-            break
-        l += 1
-    else:
-        raise RuntimeError("sample-count scan exceeded its safety cap")
-    finite_ok, unique_ok = _n_checks(q)
-    return BoundResult(
-        l, _binding(binding_branches), l <= q.d, q.premise_ok, finite_ok, unique_ok
-    )
+def _noisy_bound(q: BoundQuery) -> BoundResult:
+    """Upward scan for the budget's noisy inequality, from its monotone region."""
+    m, branches = _noisy_branches(q.d, q.epsilon, q.r, q.budget)
+    for l in range(math.floor(12 * m) + 1, _SCAN_CAP + 1):
+        if _holds(l, m, branches):
+            return _result(q, l, branches)
+    raise RuntimeError("sample-count scan exceeded its safety cap")
 
 
 def global_noise_bound(q: BoundQuery) -> BoundResult:
     """Upward scan for the global-noise inequality, from its monotone region."""
     if q.budget is None or q.budget.kind != GLOBAL:
         raise ValueError("query needs a global noise budget")
-    s = q.budget.amount
-    m = q.r + s + 1
-    branches = [
-        ("12(log(d/eps)+r+s+1)", 12.0 * (math.log(q.d / q.epsilon) + m)),
-        ("2r", float(2 * q.r)),
-        ("2r+s+1", float(2 * q.r + s + 1)),
-    ]
-    return _scan(q, m, lambda l: global_condition(l, q.d, q.epsilon, q.r, s), branches)
+    return _noisy_bound(q)
 
 
 def columnwise_noise_bound(q: BoundQuery) -> BoundResult:
     """Upward scan for the column-wise-noise inequality, from its monotone region."""
     if q.budget is None or q.budget.kind != PER_COLUMN:
         raise ValueError("query needs a per-column noise budget")
-    g = q.budget.amount
-    m = g + 1
-    branches = [
-        ("12(log(d/eps)+g+1)", 12.0 * (math.log(q.d / q.epsilon) + m)),
-        ("2r", float(2 * q.r)),
-        ("r+g+1", float(q.r + g + 1)),
-    ]
-    return _scan(q, m, lambda l: columnwise_condition(l, q.d, q.epsilon, q.r, g), branches)
+    return _noisy_bound(q)
 
 
 def bound_for_budget(
@@ -163,10 +155,7 @@ def bound_for_budget(
     """
     if budget is None or (budget.kind == GLOBAL and budget.amount == 0):
         return noiseless_bound(BoundQuery(d, r, epsilon, N))
-    q = BoundQuery(d, r, epsilon, N, budget)
-    if budget.kind == GLOBAL:
-        return global_noise_bound(q)
-    return columnwise_noise_bound(q)
+    return _noisy_bound(BoundQuery(d, r, epsilon, N, budget))
 
 
 @dataclass(frozen=True)
@@ -187,16 +176,6 @@ class CoupledBoundResult:
     noiseless_l_min: int
     result: BoundResult
     ratio: float  # l_min / max(r, log d)
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "g": self.g,
-            "noiseless_l_min": self.noiseless_l_min,
-            "l_min": self.result.l_min,
-            "ratio": self.ratio,
-        }
 
 
 def coupled_columnwise_bound(d: int, epsilon: float, r: int | None = None) -> CoupledBoundResult:
@@ -233,15 +212,9 @@ def sweep(
     """
     rows = []
     for g in sorted(g_values):
+        budget = None if g == NOISELESS_SENTINEL else NoiseBudget.per_column(g)
         for r in sorted(r_values):
-            q = BoundQuery(
-                d,
-                r,
-                epsilon,
-                N,
-                None if g == NOISELESS_SENTINEL else NoiseBudget.per_column(g),
-            )
-            res = noiseless_bound(q) if g == NOISELESS_SENTINEL else columnwise_noise_bound(q)
+            res = bound_for_budget(d, r, epsilon, budget, N)
             rows.append(
                 SweepRow(
                     r,

@@ -64,8 +64,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise", default="global:0")
     p.add_argument("--unique", action="store_true")
     p.add_argument("--cap", type=int, default=robust.DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--prescreen", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("bounds", help="minimal per-column sample count for a guarantee")
@@ -116,9 +114,7 @@ def _cmd_verify(args, out) -> int:
     pattern = load_pattern(args.pattern)
     budget = _parse_budget(args.noise)
     verifier = robust.verify_unique if args.unique else robust.verify_finite
-    verdict = verifier(
-        pattern, args.rank, budget, enumeration_cap=args.cap, prescreen=args.prescreen, seed=args.seed
-    )
+    verdict = verifier(pattern, args.rank, budget, enumeration_cap=args.cap)
     _emit(verdict.to_dict(), args.format, out)
     if verdict.verdict in (robust.RobustOutcome.FINITE, robust.RobustOutcome.UNIQUE):
         return EXIT_POSITIVE

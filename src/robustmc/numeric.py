@@ -18,6 +18,12 @@ from .pattern import GLOBAL, Cell, NoiseBudget, SamplingPattern
 
 _CONVERGENCE_DELTA = 1e-10
 _RANK_TOL = 1e-9
+# batched_masked_rank_residuals: iteration cap, stall rule, and the
+# iteration from which a slice may stop
+_SCREEN_MAX_ITERATIONS = 60
+_SCREEN_STALL_RATIO = 0.97
+_SCREEN_STALL_PATIENCE = 2
+_SCREEN_MIN_ITERATIONS = 6
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,6 @@ def rank_r_fit(
     tolerance: float = 1e-6,
     max_iterations: int = 500,
     restarts: int = 5,
-    seed: int = 0,
 ) -> FitResult:
     """Best relative misfit of a rank-r factor model on the observed cells."""
     if r < 1:
@@ -219,7 +224,7 @@ def rank_r_fit(
             A = U[:, :r] * root
             B = (root[:, None]) * Vt[:r, :]
         else:
-            rng = np.random.default_rng([seed, restart])
+            rng = np.random.default_rng([0, restart])
             A = rng.standard_normal((pattern.d, r))
             B = rng.standard_normal((r, pattern.N))
         residual, iterations, converged = _als_sweeps(
@@ -238,20 +243,16 @@ def batched_masked_rank_residuals(
     masks: np.ndarray,
     r: int,
     stop_below: float = 0.0,
-    max_iterations: int = 60,
-    stall_ratio: float = 0.97,
-    stall_patience: int = 2,
-    min_iterations: int = 6,
 ) -> np.ndarray:
     """Relative rank-r misfit per observation mask, via batched SVD imputation.
 
     For each mask the unobserved cells are imputed from the running rank-r
     truncation (starting at zero) and the residual is measured on the observed
     cells only.  A slice stops early once it drops below `stop_below` or once
-    its improvement factor stays above `stall_ratio` for `stall_patience`
-    consecutive iterations.  The returned residual of a stalled slice is an
-    upper bound on what more iterations could achieve, which keeps rejection
-    screens conservative in one direction only.
+    its improvement factor stays above `_SCREEN_STALL_RATIO` for
+    `_SCREEN_STALL_PATIENCE` consecutive iterations.  The returned residual of
+    a stalled slice is an upper bound on what more iterations could achieve,
+    which keeps rejection screens conservative in one direction only.
     """
     if masks.ndim != 3 or masks.shape[1:] != values.shape:
         raise ValueError("masks must have shape (batch, d, N)")
@@ -262,7 +263,7 @@ def batched_masked_rank_residuals(
     residuals = np.full(batch, np.inf)
     streak = np.zeros(batch, dtype=int)
     active = np.ones(batch, dtype=bool)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _SCREEN_MAX_ITERATIONS + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -273,10 +274,10 @@ def batched_masked_rank_residuals(
         new_res = np.sqrt(np.einsum("bij,bij->b", diff, diff)) / denom[idx]
         Z[idx] = np.where(sub_masks, values[None, :, :], L)
         old_res = residuals[idx]
-        improved = new_res < old_res * stall_ratio
+        improved = new_res < old_res * _SCREEN_STALL_RATIO
         streak[idx] = np.where(improved, 0, streak[idx] + 1)
         residuals[idx] = np.minimum(old_res, new_res)
-        if it >= min_iterations:
-            done = (residuals[idx] <= stop_below) | (streak[idx] >= stall_patience)
+        if it >= _SCREEN_MIN_ITERATIONS:
+            done = (residuals[idx] <= stop_below) | (streak[idx] >= _SCREEN_STALL_PATIENCE)
             active[idx[done]] = False
     return residuals

@@ -136,22 +136,6 @@ class ConstraintMatrix:
             groups.setdefault(origin, []).append(idx)
         return sorted(groups.items())
 
-    def dense(self):
-        import numpy as np
-
-        out = np.zeros((self.d, len(self.columns)), dtype=np.int8)
-        for idx, rows in enumerate(self.columns):
-            out[list(rows), idx] = 1
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "columns": [list(rows) for rows in self.columns],
-            "origins": list(self.origins),
-        }
-
 
 def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatrix:
     """Derive the constraint columns of a pattern at rank r.
@@ -206,19 +190,14 @@ def enumerate_removals(
     pattern: SamplingPattern,
     budget: NoiseBudget,
     extra: int = 0,
-    part: int = 0,
-    parts: int = 1,
 ) -> Iterator[RemovalSet]:
     """Stream every removal set for the budget, in deterministic lexicographic order.
 
     Global budgets yield all cell subsets of size amount+extra; per-column
     budgets yield the Cartesian product of per-column choices of exactly
-    amount+extra cells.  `part`/`parts` select a residue class of the stream
-    so concurrent consumers can partition work reproducibly.
+    amount+extra cells.
     """
     count_removals(pattern, budget, extra)  # validate preconditions up front
-    if parts < 1 or not (0 <= part < parts):
-        raise ValueError("need 0 <= part < parts")
     need = budget.amount + extra
 
     if budget.kind == GLOBAL:
@@ -233,9 +212,8 @@ def enumerate_removals(
             for choice in product(*per_column)
         )
 
-    for index, cells in enumerate(stream):
-        if index % parts == part:
-            yield RemovalSet(frozenset(cells))
+    for cells in stream:
+        yield RemovalSet(frozenset(cells))
 
 
 def serialize_pattern(pattern: SamplingPattern) -> str:
@@ -245,10 +223,18 @@ def serialize_pattern(pattern: SamplingPattern) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_pattern(text: str) -> SamplingPattern:
-    """Parse the pattern text format; `#` starts a comment line."""
+def read_cell_lines(text: str, with_values: bool) -> tuple[int, int, dict[Cell, float | None]]:
+    """Read the shared text format of pattern and observation files.
+
+    A `d N` header comes first, then one `row col` line per cell, or one
+    `row col value` line when `with_values`; `#` starts a comment line.
+    Returns d, N and the cells in file order, each mapped to its value (None
+    without values).  Bad dimensions, cells outside the grid, duplicate cells
+    and non-finite values raise PatternFormatError.
+    """
     header: tuple[int, int] | None = None
-    cells: list[Cell] = []
+    entries: dict[Cell, float | None] = {}
+    shape = "`row col value`" if with_values else "`row col`"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -261,25 +247,33 @@ def parse_pattern(text: str) -> SamplingPattern:
                 header = (int(fields[0]), int(fields[1]))
             except ValueError as exc:
                 raise PatternFormatError(f"line {lineno}: bad header {line!r}") from exc
+            if header[0] <= 0 or header[1] <= 0:
+                raise PatternFormatError(f"line {lineno}: dimensions must be positive")
             continue
-        if len(fields) != 2:
-            raise PatternFormatError(f"line {lineno}: expected `row col`")
+        if len(fields) != (3 if with_values else 2):
+            raise PatternFormatError(f"line {lineno}: expected {shape}")
         try:
             cell = (int(fields[0]), int(fields[1]))
+            value = float(fields[2]) if with_values else None
         except ValueError as exc:
-            raise PatternFormatError(f"line {lineno}: bad cell {line!r}") from exc
-        cells.append(cell)
+            raise PatternFormatError(f"line {lineno}: bad entry {line!r}") from exc
+        d, N = header
+        if not (0 <= cell[0] < d and 0 <= cell[1] < N):
+            raise PatternFormatError(f"line {lineno}: cell {cell} outside a {d}x{N} grid")
+        if cell in entries:
+            raise PatternFormatError(f"line {lineno}: duplicate cell {cell}")
+        if value is not None and not math.isfinite(value):
+            raise PatternFormatError(f"line {lineno}: non-finite value {fields[2]!r}")
+        entries[cell] = value
     if header is None:
         raise PatternFormatError("missing `d N` header line")
-    d, N = header
-    if d <= 0 or N <= 0:
-        raise PatternFormatError("dimensions must be positive")
-    if len(set(cells)) != len(cells):
-        raise PatternFormatError("duplicate observed cells")
-    for i, j in cells:
-        if not (0 <= i < d and 0 <= j < N):
-            raise PatternFormatError(f"cell ({i}, {j}) outside a {d}x{N} grid")
-    return SamplingPattern(d, N, frozenset(cells))
+    return header[0], header[1], entries
+
+
+def parse_pattern(text: str) -> SamplingPattern:
+    """Parse the pattern text format (see `read_cell_lines`)."""
+    d, N, entries = read_cell_lines(text, with_values=False)
+    return SamplingPattern(d, N, frozenset(entries))
 
 
 def load_pattern(path) -> SamplingPattern:

@@ -29,12 +29,12 @@ from .pattern import (
     GLOBAL,
     Cell,
     NoiseBudget,
-    PatternFormatError,
     RemovalSet,
     SamplingPattern,
     build_constraint_matrix,
     count_removals,
     enumerate_removals,
+    read_cell_lines,
     remove_entries,
 )
 
@@ -78,8 +78,13 @@ class NoSupportFoundError(RuntimeError):
         self.best_residual = best_residual
 
 
+def premise_floor(r: int, budget: NoiseBudget, unique: bool) -> int:
+    """Fewest observed entries per column the verification premise allows."""
+    return r + budget.amount + (1 if unique or budget.kind != GLOBAL else 0)
+
+
 def _premise_failure(pattern: SamplingPattern, r: int, budget: NoiseBudget, unique: bool) -> str | None:
-    floor = r + budget.amount + (1 if unique or budget.kind != GLOBAL else 0)
+    floor = premise_floor(r, budget, unique)
     counts = pattern.column_counts()
     for j, l in enumerate(counts):
         if l < floor:
@@ -104,8 +109,6 @@ def _verify(
     budget: NoiseBudget,
     unique: bool,
     enumeration_cap: int,
-    prescreen: int,
-    seed: int,
 ) -> RobustVerdict:
     positive = RobustOutcome.UNIQUE if unique else RobustOutcome.FINITE
     failure = _premise_failure(pattern, r, budget, unique)
@@ -138,22 +141,6 @@ def _verify(
         )
 
     checked = 0
-    if prescreen > 0:
-        # cheap randomized counterexample hunt; can only refute, never accept
-        rng = np.random.default_rng([seed, 0x5EED])
-        cells = pattern.cells()
-        for _ in range(prescreen):
-            picks = rng.choice(len(cells), size=budget.amount + extra, replace=False)
-            removal = RemovalSet(frozenset(cells[i] for i in picks))
-            checked += 1
-            if check(removal).verdict == certify.Verdict.REFUTED:
-                return RobustVerdict(
-                    RobustOutcome.REFUTED,
-                    checked=checked,
-                    failing_removal=removal,
-                    reason="randomized prescreen found a failing removal",
-                )
-
     for removal in enumerate_removals(pattern, budget, extra):
         checked += 1
         cert = check(removal)
@@ -172,11 +159,9 @@ def verify_finite(
     r: int,
     budget: NoiseBudget,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    prescreen: int = 0,
-    seed: int = 0,
 ) -> RobustVerdict:
     """Finite completability under the budget: every removal keeps a finite certificate."""
-    return _verify(pattern, r, budget, False, enumeration_cap, prescreen, seed)
+    return _verify(pattern, r, budget, False, enumeration_cap)
 
 
 def verify_unique(
@@ -184,11 +169,9 @@ def verify_unique(
     r: int,
     budget: NoiseBudget,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    prescreen: int = 0,
-    seed: int = 0,
 ) -> RobustVerdict:
     """Unique completability under the budget: every removal keeps a disjoint witness pair."""
-    return _verify(pattern, r, budget, True, enumeration_cap, prescreen, seed)
+    return _verify(pattern, r, budget, True, enumeration_cap)
 
 
 def identify_noise_support(
@@ -197,18 +180,15 @@ def identify_noise_support(
     r: int,
     s: int,
     fit_tolerance: float = 1e-6,
-    max_iterations: int = 500,
-    restarts: int = 5,
-    screen: bool | None = None,
 ) -> frozenset[Cell]:
     """Smallest observed-cell set whose removal admits a rank-r fit.
 
     Candidates are tried by cardinality 0, 1, ..., s and lexicographically
     within a cardinality; the first set whose remaining observations fit rank
-    r at `fit_tolerance` relative misfit is returned.  Dense patterns are
-    prefiltered by the batched imputation screen before the full alternating
-    fit confirms a candidate; the screen threshold is generous, so only
-    clearly hopeless candidates are skipped.
+    r at `fit_tolerance` relative misfit is returned.  Dense patterns (at
+    least 70% observed) are prefiltered by the batched imputation screen
+    before the full alternating fit confirms a candidate; the screen threshold
+    is generous, so only clearly hopeless candidates are skipped.
     """
     if s < 0:
         raise ValueError("noise budget must be non-negative")
@@ -219,8 +199,7 @@ def identify_noise_support(
         if cell not in noisy_observations:
             raise ValueError(f"missing value for observed cell {cell}")
 
-    density = len(cells) / (pattern.d * pattern.N)
-    use_screen = density >= 0.7 if screen is None else screen
+    use_screen = len(cells) / (pattern.d * pattern.N) >= 0.7
     screen_threshold = max(1e-3, 50.0 * fit_tolerance)
 
     values = np.zeros((pattern.d, pattern.N))
@@ -233,10 +212,7 @@ def identify_noise_support(
         dropped = set(candidate)
         remaining = {c: v for c, v in noisy_observations.items() if c in pattern.observed and c not in dropped}
         sub = SamplingPattern(pattern.d, pattern.N, pattern.observed - dropped)
-        fit = numeric.rank_r_fit(
-            remaining, sub, r, fit_tolerance, max_iterations=max_iterations, restarts=restarts
-        )
-        return fit.admits
+        return numeric.rank_r_fit(remaining, sub, r, fit_tolerance).admits
 
     best_residual = np.inf
     flat_cells = np.array([i * pattern.N + j for i, j in cells])
@@ -283,35 +259,9 @@ def serialize_observations(pattern: SamplingPattern, values: dict[Cell, float]) 
 
 
 def parse_observations(text: str) -> tuple[SamplingPattern, dict[Cell, float]]:
-    header: tuple[int, int] | None = None
-    values: dict[Cell, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise PatternFormatError(f"line {lineno}: expected `d N` header")
-            try:
-                header = (int(fields[0]), int(fields[1]))
-            except ValueError as exc:
-                raise PatternFormatError(f"line {lineno}: bad header {line!r}") from exc
-            continue
-        if len(fields) != 3:
-            raise PatternFormatError(f"line {lineno}: expected `row col value`")
-        try:
-            cell = (int(fields[0]), int(fields[1]))
-            value = float(fields[2])
-        except ValueError as exc:
-            raise PatternFormatError(f"line {lineno}: bad entry {line!r}") from exc
-        if cell in values:
-            raise PatternFormatError(f"line {lineno}: duplicate cell {cell}")
-        values[cell] = value
-    if header is None:
-        raise PatternFormatError("missing `d N` header line")
-    pattern = SamplingPattern.from_cells(header[0], header[1], values.keys())
-    return pattern, values
+    """Parse the observation text format (see `pattern.read_cell_lines`)."""
+    d, N, values = read_cell_lines(text, with_values=True)
+    return SamplingPattern(d, N, frozenset(values)), values
 
 
 def load_observations(path) -> tuple[SamplingPattern, dict[Cell, float]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, robust
-from .pattern import GLOBAL, NoiseBudget, SamplingPattern
+from .pattern import NoiseBudget, SamplingPattern
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -66,7 +66,8 @@ class TrialOutcome:
         }
 
 
-def wilson_interval(passes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(passes: int, trials: int) -> tuple[float, float]:
+    z = WILSON_Z
     if trials <= 0:
         return (0.0, 1.0)
     phat = passes / trials
@@ -109,12 +110,6 @@ def estimate_pass_probability(
     )
 
 
-def _premise_floor(r: int, budget: NoiseBudget, target: str) -> int:
-    if budget.kind == GLOBAL:
-        return r + budget.amount + (1 if target == "unique" else 0)
-    return r + budget.amount + 1
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
     threshold: int | None  # smallest l reaching the target rate, None if none <= d
@@ -151,7 +146,7 @@ def empirical_threshold(
     theory = bounds.bound_for_budget(d, r, epsilon, budget, N).l_min
     rows: list[tuple[int, TrialOutcome]] = []
     threshold = None
-    for l in range(_premise_floor(r, budget, target), d + 1):
+    for l in range(robust.premise_floor(r, budget, target == "unique"), d + 1):
         cfg = TrialConfig(d, N, r, l, budget, trials, seed=seed * 1_000_003 + l, target=target)
         outcome = estimate_pass_probability(cfg, enumeration_cap)
         rows.append((l, outcome))

@@ -50,7 +50,7 @@ class TestVerify:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--search-budget", "--threads"])
+    @pytest.mark.parametrize("flag", ["--search-budget", "--threads", "--prescreen", "--seed"])
     def test_removed_tuning_flags_are_usage_errors(self, full_pattern_file, flag):
         code, _ = invoke(["verify", "--pattern", full_pattern_file, "--rank", "1", flag, "2"])
         assert code == 64
@@ -59,7 +59,7 @@ class TestVerify:
         p = tmp_path / "dup.pat"
         p.write_text("2 2\n0 0\n0 0\n")
         code, _ = invoke(["verify", "--pattern", str(p), "--rank", "1"])
-        assert code >= 64
+        assert code == 65
 
     def test_missing_file_is_data_error(self):
         code, _ = invoke(["verify", "--pattern", "/nonexistent.pat", "--rank", "1"])
@@ -165,6 +165,15 @@ class TestIdentify:
         code, text = invoke(["identify", "--data", str(path), "--rank", "2", "--s", "0"])
         assert code == 1
         assert "no-support-found" in text
+
+    @pytest.mark.parametrize(
+        "text", ["2 2\n0 0 1.0\n5 1 2.0\n", "0 2\n", "2 2\n0 0 1.0\n1 1 nan\n"]
+    )
+    def test_malformed_observation_file_is_data_error(self, tmp_path, text):
+        path = tmp_path / "obs.txt"
+        path.write_text(text)
+        code, _ = invoke(["identify", "--data", str(path), "--rank", "1", "--s", "0"])
+        assert code == 65
 
 
 class TestSimulate:

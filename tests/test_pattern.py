@@ -127,16 +127,6 @@ class TestEnumeration:
         assert len(got) == math.comb(len(cells), s)
         assert len(got) == count_removals(p, NoiseBudget.global_noise(s), 0)
 
-    def test_partitions_recreate_stream(self):
-        p = SamplingPattern.full(3, 3)
-        budget = NoiseBudget.global_noise(2)
-        whole = list(enumerate_removals(p, budget))
-        merged = []
-        for part in range(3):
-            merged.extend(enumerate_removals(p, budget, part=part, parts=3))
-        assert {s.cells for s in merged} == {s.cells for s in whole}
-        assert len(merged) == len(whole)
-
     def test_infeasible_per_column_signalled(self):
         # column 1 has a single cell; removing g+extra = 2 is impossible
         p = pat(3, 2, [(0, 0), (1, 0), (0, 1)])

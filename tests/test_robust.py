@@ -107,15 +107,6 @@ class TestVerifyFinite:
         assert verdict.checked == 1
         assert verdict.failing_removal.cells == frozenset((0, j) for j in range(30))
 
-    def test_prescreen_can_refute(self):
-        pattern = SamplingPattern.from_cells(
-            3, 2, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
-        )
-        verdict = verify_finite(
-            pattern, 1, NoiseBudget.global_noise(1), prescreen=64, seed=3
-        )
-        assert verdict.verdict == RobustOutcome.REFUTED
-
 
 class TestVerifyUnique:
     def test_full_pattern_uniquely_completable(self):
@@ -248,3 +239,12 @@ class TestObservationFormat:
     def test_duplicate_rejected(self):
         with pytest.raises(PatternFormatError):
             parse_observations("2 2\n0 0 1.5\n0 0 2.5\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2\n5 0 1.5\n", "2 2\n0 -1 1.5\n", "0 2\n", "2 -3\n0 0 1.5\n",
+         "2 2\n0 0 nan\n", "2 2\n1 1 -inf\n"],
+    )
+    def test_bad_cell_header_or_value_rejected(self, text):
+        with pytest.raises(PatternFormatError):
+            parse_observations(text)
