@@ -11,12 +11,6 @@ finite-completability condition and k = 1 for the unique-completability one
 exact).  `min_slack` returns the minimum of k*rows(S) - |S| - k*r over all
 nonempty subsets; the predicate holds iff it is >= 0.
 
-The minimum is computed exactly by a project-selection min-cut: selecting a
-column earns 1, every covered row costs k, and the empty set is excluded by
-forcing one anchor column at a time.  An exhaustive enumeration oracle is
-retained for candidate sets of up to 12 columns and backs the independent
-witness validator.
-
 Sets passing the predicate are the independent sets of a count matroid
 (columns are hyperedges over their r+1 rows; the count k*rows - k*r is
 matroidal because k*r <= k*(r+1) - 1), and "columns from pairwise distinct
@@ -27,6 +21,15 @@ certificate's two origin-disjoint witnesses are one common independent set
 of the direct sum of both count matroids (one copy of the columns each) and
 the origin partition matroid, so it is decided exactly the same way.  Every
 verdict is therefore Finite/Unique or Refuted, never indeterminate.
+
+The intersection asks the count matroid through the (k, k*r) pebble game on
+the rows, kept incrementally as columns enter and leave; a failed pebble
+search also yields the column's fundamental circuit.  Found witnesses are
+re-checked by two validators that share no code with the game: `min_slack`
+computes the minimum exactly by a project-selection min-cut (selecting a
+column earns 1, every covered row costs k, and the empty set is excluded by
+forcing one anchor column at a time), and `min_slack_exhaustive` enumerates
+every subset of up to 22 columns, vectorised.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .pattern import ConstraintMatrix
 
@@ -136,14 +141,14 @@ def _max_flow(adj: list[list[list[int]]], source: int, sink: int) -> int:
         flow += bottleneck
 
 
-def _anchored_slack(columns_rows: Sequence[tuple[int, ...]], anchor: int, k: int, rank: int) -> int:
-    """min over subsets S containing the anchor column of k*rows(S) - |S| - k*rank.
+def _slack_network(columns_rows: Sequence[tuple[int, ...]], k: int) -> tuple[list[list[list[int]]], int, int]:
+    """Project-selection network of the columns: (adjacency, sink, infinite capacity).
 
-    Min-cut form: source->column edges carry capacity 1 (the anchor's carries
-    effectively infinite capacity, forcing it selected), column->row edges are
-    uncuttable, row->sink edges carry k.  The cut value equals
-    (#columns not selected) + k*rows(selected), so the minimum over anchored
-    subsets is mincut - n - k*rank.
+    Node 0 is the source, 1..n the columns, then one node per used row, then
+    the sink.  Source->column edges carry capacity 1 (the source's i-th edge
+    goes to column i), column->row edges are uncuttable, row->sink edges
+    carry k.  A cut's value is the number of unselected columns plus k times
+    the rows the selected columns cover.
     """
     n = len(columns_rows)
     used_rows = sorted({row for rows in columns_rows for row in rows})
@@ -158,41 +163,79 @@ def _anchored_slack(columns_rows: Sequence[tuple[int, ...]], anchor: int, k: int
         adj[v].append([u, 0, len(adj[u]) - 1])
 
     for idx, rows in enumerate(columns_rows):
-        add_edge(0, idx + 1, inf if idx == anchor else 1)
+        add_edge(0, idx + 1, 1)
         for row in rows:
             add_edge(idx + 1, row_node[row], inf)
     for row in used_rows:
         add_edge(row_node[row], sink, k)
-
-    return _max_flow(adj, 0, sink) - n - k * rank
+    return adj, sink, inf
 
 
 def min_slack(cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition) -> int:
-    """Exact minimum of k*rows(S) - |S| - k*r over nonempty S within the subset."""
+    """Exact minimum of k*rows(S) - |S| - k*r over nonempty S within the subset.
+
+    One Edmonds-Karp solves the unanchored network.  Forcing an anchor column
+    into S raises its source edge to infinite capacity; its minimum cut is
+    that flow plus the augmentations the raise allows, found on a copy of the
+    residual graph, and the anchored minimum is mincut - n - k*r.
+    """
     if not subset:
         raise ValueError("subset must be non-empty")
     columns_rows = [cm.columns[i] for i in subset]
-    return min(
-        _anchored_slack(columns_rows, anchor, cond.k, cond.r)
-        for anchor in range(len(columns_rows))
-    )
+    n = len(columns_rows)
+    adj, sink, inf = _slack_network(columns_rows, cond.k)
+    base = _max_flow(adj, 0, sink)
+    best = None
+    for anchor in range(n):
+        residual = [[edge[:] for edge in edges] for edges in adj]
+        residual[0][anchor][1] += inf - 1
+        value = base + _max_flow(residual, 0, sink) - n - cond.k * cond.r
+        if best is None or value < best:
+            best = value
+    return best
+
+
+# the enumeration oracle runs over blocks of 2**12 subsets
+_BLOCK_BITS = 12
+_SUBSET_SIZES = np.array([s.bit_count() for s in range(1 << _BLOCK_BITS)], dtype=np.int32)
+
+
+def _row_cover(columns: Sequence[list[int]], width: int) -> np.ndarray:
+    """cover[v, s] says whether subset s of the columns covers row v; built by doubling."""
+    cover = np.zeros((width, 1 << len(columns)), dtype=bool)
+    for i, rows in enumerate(columns):
+        half = 1 << i
+        cover[:, half : 2 * half] = cover[:, :half]
+        cover[rows, half : 2 * half] = True
+    return cover
 
 
 def min_slack_exhaustive(cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition) -> int:
-    """Enumeration oracle for min_slack; limited to 22 columns by design."""
+    """Enumeration oracle for min_slack; limited to 22 columns by design.
+
+    The row covers of all subsets are built by doubling over the subset's
+    rows renumbered 0..R-1: the first 12 columns enumerate inside a block of
+    2**12 subsets, the remaining ones choose the block, so memory stays
+    O(2**12 * R).
+    """
     if not subset:
         raise ValueError("subset must be non-empty")
     n = len(subset)
     if n > 22:
         raise ValueError("exhaustive oracle limited to 22 columns")
-    masks = [cm.row_mask(i) for i in subset]
+    used_rows = sorted({row for i in subset for row in cm.columns[i]})
+    position = {row: pos for pos, row in enumerate(used_rows)}
+    columns = [[position[row] for row in cm.columns[i]] for i in subset]
+    low = min(n, _BLOCK_BITS)
+    low_cover = _row_cover(columns[:low], len(used_rows))
+    high_cover = _row_cover(columns[low:], len(used_rows))
+    sizes = _SUBSET_SIZES[: 1 << low]
     k, r = cond.k, cond.r
-    union = [0] * (1 << n)
     best = None
-    for s in range(1, 1 << n):
-        low = s & -s
-        union[s] = union[s ^ low] | masks[low.bit_length() - 1]
-        value = k * union[s].bit_count() - s.bit_count() - k * r
+    for high in range(1 << (n - low)):
+        rows = (low_cover | high_cover[:, high : high + 1]).sum(axis=0, dtype=np.int32)
+        values = k * rows - sizes - (high.bit_count() + k * r)
+        value = int(values[1:].min() if high == 0 else values.min())  # S is nonempty
         if best is None or value < best:
             best = value
     return best
@@ -214,9 +257,89 @@ def validate_witness(cm: ConstraintMatrix, witness: Sequence[int], cond: CountCo
     return min_slack(cm, witness, cond) >= 0
 
 
-def _addable(cm: ConstraintMatrix, members_rows: list, candidate: int, cond: CountCondition) -> bool:
-    trial = members_rows + [cm.columns[candidate]]
-    return _anchored_slack(trial, len(trial) - 1, cond.k, cond.r) >= 0
+class _PebbleGame:
+    """(k, k*r) pebble game on the rows: incremental independence in one count matroid.
+
+    The count matroid's columns are hyperedges on their r+1 rows, and a set
+    is independent iff it is (k, k*r)-sparse (Streinu & Theran, "Sparse
+    hypergraphs and pebble game algorithms", 2009).  Every row holds k
+    pebbles; each member column is covered by one pebble of a row in it, its
+    tail, so a row's free pebbles are k minus the members it covers.  Members
+    are directed from their tail to their other rows.  The members plus a
+    column stay independent iff k*r+1 pebbles can be gathered on its rows,
+    moving free pebbles back along directed paths.
+    """
+
+    def __init__(self, cm: ConstraintMatrix, cond: CountCondition):
+        self.columns = cm.columns
+        self.need = cond.k * cond.r + 1
+        self.free = [cond.k] * cm.d
+        self.covers: list[list[int]] = [[] for _ in range(cm.d)]  # members by tail row
+        self.tail: dict[int, int] = {}
+
+    def _gather(self, rows: tuple[int, ...]) -> set[int] | None:
+        """Gather k*r+1 free pebbles on the rows; None on success, else the rows reached.
+
+        Each round is a multi-source BFS from the rows along the members'
+        directions that stops at a row outside them with a free pebble; the
+        path is reversed, which moves that pebble onto the rows.  When a
+        round finds none, the rows reached span a tight set: the members
+        covered from them are the column's fundamental circuit.
+        """
+        free, covers, tail, columns = self.free, self.covers, self.tail, self.columns
+        gathered = sum(map(free.__getitem__, rows))
+        while gathered < self.need:
+            reached_by: dict[int, int | None] = dict.fromkeys(rows)
+            queue = deque(rows)
+            found = None
+            while queue and found is None:
+                for member in covers[queue.popleft()]:
+                    for w in columns[member]:
+                        if w not in reached_by:
+                            reached_by[w] = member
+                            if free[w]:
+                                found = w
+                                break
+                            queue.append(w)
+                    if found is not None:
+                        break
+            if found is None:
+                return set(reached_by)
+            free[found] -= 1
+            row = found
+            while (member := reached_by[row]) is not None:
+                previous = tail[member]
+                covers[previous].remove(member)
+                covers[row].append(member)
+                tail[member] = row
+                row = previous
+            free[row] += 1
+            gathered += 1
+        return None
+
+    def probe(self, column: int) -> frozenset[int] | None:
+        """None when the members plus the column are independent, else its circuit.
+
+        The circuit lists every member x for which the members minus x plus
+        the column are independent.
+        """
+        reached = self._gather(self.columns[column])
+        if reached is None:
+            return None
+        return frozenset(member for row in reached for member in self.covers[row])
+
+    def add(self, column: int) -> None:
+        if self._gather(self.columns[column]) is not None:
+            raise RuntimeError("internal error: dependent column added to a pebble game")
+        row = next(v for v in self.columns[column] if self.free[v])
+        self.free[row] -= 1
+        self.covers[row].append(column)
+        self.tail[column] = row
+
+    def remove(self, column: int) -> None:
+        row = self.tail.pop(column)
+        self.covers[row].remove(column)
+        self.free[row] += 1
 
 
 def _max_rainbow_witnesses(
@@ -226,42 +349,43 @@ def _max_rainbow_witnesses(
 
     Matroid intersection over one copy of the constraint columns per part.
     The first matroid is the direct sum of the parts' count matroids (a
-    copy's independence sees only that copy's members); the second is the
-    origin partition matroid, capacity 1 per origin across all copies.  Each
-    part's size caps its count matroid's rank, so a common independent set of
-    the total size exists iff every copy can hold its full witness.
+    copy's independence sees only that copy's members, kept in its own
+    pebble game); the second is the origin partition matroid, capacity 1 per
+    origin across all copies.  Each part's size caps its count matroid's
+    rank, so a common independent set of the total size exists iff every
+    copy can hold its full witness.
 
     Augmenting paths over the exchange digraph: a path starts at an outside
     element its copy's count matroid accepts, hops to the member blocking its
     origin, hops out to any element of the member's own copy accepted in the
     member's place, and so on until it reaches an element with an unused
-    origin; flipping the path grows the set by one.  An element of another
-    copy accepted in the member's place would already be a start, so
-    exchanges stay within a copy, and a copy already holding its size starts
-    no path.  Shortest paths (multi-source BFS) keep every intermediate set
-    common independent.  Deterministic: copies in order, columns in
-    canonical order within a copy.
+    origin; flipping the path grows the set by one.  An outside element is
+    accepted in member x's place iff it is independent or x lies in its
+    fundamental circuit, so one pebble-game search per element gives all its
+    exchange edges.  An element of another copy accepted in the member's
+    place would already be a start, so exchanges stay within a copy, and a
+    copy already holding its size starts no path.  Shortest paths
+    (multi-source BFS) keep every intermediate set common independent.
+    Deterministic: copies in order, columns in canonical order within a copy.
     """
     n = len(cm)
-    conds = [cond for cond, _ in parts]
     caps = [cap for _, cap in parts]
     total = sum(caps)
+    games = [_PebbleGame(cm, cond) for cond, _ in parts]
     # element e is column e % n in copy e // n
     in_set = [False] * (n * len(parts))
     members: list[list[int]] = [[] for _ in parts]
 
-    def rows_excluding(p: int, skip: int | None = None) -> list:
-        return [cm.columns[c] for c in members[p] if c != skip]
-
     # greedy seed: each copy in canonical order until it holds its size
     used_origins: set[int] = set()
-    for p, cond in enumerate(conds):
+    for p, game in enumerate(games):
         for c in range(n):
             if len(members[p]) == caps[p]:
                 break
             if cm.origins[c] in used_origins:
                 continue
-            if _addable(cm, rows_excluding(p), c, cond):
+            if game.probe(c) is None:
+                game.add(c)
                 members[p].append(c)
                 in_set[p * n + c] = True
                 used_origins.add(cm.origins[c])
@@ -269,11 +393,17 @@ def _max_rainbow_witnesses(
     while sum(map(len, members)) < total:
         outside = [[p * n + c for c in range(n) if not in_set[p * n + c]] for p in range(len(parts))]
         origin_member = {cm.origins[c]: p * n + c for p in range(len(parts)) for c in members[p]}
+        circuits: dict[int, frozenset[int] | None] = {}
+
+        def circuit(y: int) -> frozenset[int] | None:
+            if y not in circuits:
+                circuits[y] = games[y // n].probe(y % n)
+            return circuits[y]
+
         sources: list[int] = []
-        for p, cond in enumerate(conds):
+        for p in range(len(parts)):
             if len(members[p]) < caps[p]:
-                base_rows = rows_excluding(p)
-                sources.extend(y for y in outside[p] if _addable(cm, base_rows, y % n, cond))
+                sources.extend(y for y in outside[p] if circuit(y) is None)
         if not sources:
             return None
         sinks = {y for copy in outside for y in copy if cm.origins[y % n] not in origin_member}
@@ -298,11 +428,11 @@ def _max_rainbow_witnesses(
                     queue.append(blocker)
             else:
                 # member: its copy's count matroid accepts these replacements
-                rows = rows_excluding(p, skip=col)
                 for y in outside[p]:
                     if y in parent:
                         continue
-                    if _addable(cm, rows, y % n, conds[p]):
+                    blocking = circuit(y)
+                    if blocking is None or col in blocking:
                         parent[y] = node
                         if y in sinks:
                             goal = y
@@ -310,11 +440,18 @@ def _max_rainbow_witnesses(
                         queue.append(y)
         if goal is None:
             return None
-        # flip the path: outside elements enter, members leave
+        # flip the path: members leave their games before outside elements enter
+        entering: list[int] = []
         node = goal
         while node is not None:
+            if in_set[node]:
+                games[node // n].remove(node % n)
+            else:
+                entering.append(node)
             in_set[node] = not in_set[node]
             node = parent[node]
+        for node in entering:
+            games[node // n].add(node % n)
         members = [[c for c in range(n) if in_set[p * n + c]] for p in range(len(parts))]
 
     return tuple(map(tuple, members))

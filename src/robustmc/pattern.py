@@ -11,7 +11,7 @@ on these columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -29,14 +29,19 @@ class SamplingPattern:
     d: int
     N: int
     observed: frozenset[Cell]
+    # observed rows of each column, ascending; derived, so not compared or hashed
+    _rows_by_column: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d <= 0 or self.N <= 0:
             raise ValueError("pattern dimensions must be positive")
         object.__setattr__(self, "observed", frozenset(self.observed))
+        rows: list[list[int]] = [[] for _ in range(self.N)]
         for i, j in self.observed:
             if not (0 <= i < self.d and 0 <= j < self.N):
                 raise ValueError(f"cell ({i}, {j}) outside a {self.d}x{self.N} grid")
+            rows[j].append(i)
+        object.__setattr__(self, "_rows_by_column", tuple(tuple(sorted(col)) for col in rows))
 
     @classmethod
     def from_cells(cls, d: int, N: int, cells: Iterable[Cell]) -> "SamplingPattern":
@@ -55,13 +60,10 @@ class SamplingPattern:
 
     def column_rows(self, j: int) -> tuple[int, ...]:
         """Observed row indices of column j, ascending."""
-        return tuple(sorted(i for i, c in self.observed if c == j))
+        return self._rows_by_column[j]
 
     def column_counts(self) -> list[int]:
-        counts = [0] * self.N
-        for _, j in self.observed:
-            counts[j] += 1
-        return counts
+        return [len(rows) for rows in self._rows_by_column]
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,6 @@ class ConstraintMatrix:
 
     def __len__(self) -> int:
         return len(self.columns)
-
-    def row_mask(self, index: int) -> int:
-        mask = 0
-        for row in self.columns[index]:
-            mask |= 1 << row
-        return mask
 
     def origin_groups(self) -> list[tuple[int, list[int]]]:
         """(origin, [column indices]) pairs, origins ascending, columns extra-ascending."""

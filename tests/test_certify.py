@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from robustmc.certify import (
     Certificate,
+    _PebbleGame,
     CountCondition,
     Verdict,
     find_finite_certificate,
@@ -238,3 +241,115 @@ class TestUniqueDifferential:
             main_origins = {cm.origins[i] for i in cert.finite_witness}
             side_origins = {cm.origins[i] for i in cert.unique_witness}
             assert not main_origins & side_origins
+
+
+@st.composite
+def pebble_game_cases(draw):
+    """A pattern with d <= 7 and r <= 3, a count condition, and an order to grow members in."""
+    d = draw(st.integers(2, 7))
+    r = draw(st.integers(1, min(3, d - 1)))
+    N = draw(st.integers(1, 5))
+    columns = [draw(st.sets(st.integers(0, d - 1), min_size=r + 1, max_size=d)) for _ in range(N)]
+    cells = [(i, j) for j, rows in enumerate(columns) for i in rows]
+    cm = build_constraint_matrix(SamplingPattern.from_cells(d, N, cells), r)
+    cond = draw(st.sampled_from([CountCondition.finite(r), CountCondition.unique(r)]))
+    order = draw(st.permutations(range(len(cm))))
+    dropped = draw(st.sets(st.integers(0, len(cm) - 1)))
+    return cm, cond, order, dropped
+
+
+class TestPebbleGameOracle:
+    """The pebble game's independence and circuits agree with the min-cut validator."""
+
+    @given(pebble_game_cases())
+    @settings(deadline=None, max_examples=120)
+    def test_probe_matches_min_slack(self, case):
+        cm, cond, order, dropped = case
+        game = _PebbleGame(cm, cond)
+        members: list[int] = []
+
+        def grow(columns):
+            for c in columns:
+                if c not in members and game.probe(c) is None:
+                    game.add(c)
+                    members.append(c)
+
+        # grow, drop some members and grow again without them, so the game
+        # also answers after removals
+        grow(order)
+        for c in [m for m in members if m in dropped]:
+            game.remove(c)
+            members.remove(c)
+        grow([c for c in order if c not in dropped])
+        if members:
+            assert min_slack(cm, members, cond) >= 0
+        for y in range(len(cm)):
+            if y in members:
+                continue
+            circuit = game.probe(y)
+            assert (circuit is None) == (min_slack(cm, members + [y], cond) >= 0)
+            if circuit is not None:
+                exchangeable = {
+                    x for x in members if min_slack(cm, [m for m in members if m != x] + [y], cond) >= 0
+                }
+                assert circuit == exchangeable
+
+
+class TestExhaustiveOracle:
+    def test_rows_beyond_64(self):
+        rng = random.Random(64)
+        cells = [(i, j) for j in range(10) for i in rng.sample(range(100), 6)]
+        cm = build_constraint_matrix(SamplingPattern.from_cells(100, 10, cells), 2)
+        high = [i for i, rows in enumerate(cm.columns) if rows[-1] >= 64]
+        for _ in range(20):
+            subset = rng.sample(range(len(cm)), rng.randint(1, 11))
+            subset += [rng.choice([i for i in high if i not in subset])]
+            for cond in (CountCondition.finite(2), CountCondition.unique(2)):
+                assert min_slack_exhaustive(cm, subset, cond) == min_slack(cm, subset, cond)
+
+    @pytest.mark.parametrize("size", [13, 14, 16])
+    def test_block_path_matches_min_slack(self, size):
+        rng = random.Random(size)
+        for _ in range(6):
+            d, r = rng.randint(5, 9), rng.randint(1, 3)
+            cells = [(i, j) for j in range(8) for i in rng.sample(range(d), rng.randint(r + 1, d))]
+            cm = build_constraint_matrix(SamplingPattern.from_cells(d, 8, cells), r)
+            if len(cm) < size:
+                continue
+            subset = rng.sample(range(len(cm)), size)
+            for cond in (CountCondition.finite(r), CountCondition.unique(r)):
+                assert min_slack_exhaustive(cm, subset, cond) == min_slack(cm, subset, cond)
+
+    def test_minimum_only_in_a_later_block(self):
+        # twelve columns on distinct row pairs, then the duplicated pair that alone fails
+        cells = [(i, j) for j in range(12) for i in (2 * j, 2 * j + 1)]
+        cells += [(0, 12), (1, 12), (0, 13), (1, 13)]
+        cm = build_constraint_matrix(SamplingPattern.from_cells(24, 14, cells), 1)
+        cond = CountCondition.unique(1)
+        assert min_slack_exhaustive(cm, list(range(1, 14)), cond) == min_slack(cm, list(range(1, 14)), cond)
+        assert min_slack_exhaustive(cm, list(range(1, 12)), cond) == 0
+        assert min_slack_exhaustive(cm, list(range(1, 14)), cond) == -1
+
+
+_RECORDED = Path(__file__).resolve().parent / "data" / "certificates.jsonl"
+
+
+def test_certificates_reproduce_recorded_bytes():
+    """Certificates of 200 seeded patterns, recorded with the min-cut independence oracle.
+
+    Each line holds a pattern (observed rows per column), its rank and the
+    finite and unique `Certificate.to_dict(cm)`.  Any change to the search's
+    scan order or oracle that alters a witness shows up here.
+    """
+    lines = _RECORDED.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 200
+    for line in lines:
+        entry = json.loads(line)
+        cells = [(i, j) for j, rows in enumerate(entry["columns"]) for i in rows]
+        cm = build_constraint_matrix(SamplingPattern.from_cells(entry["d"], entry["N"], cells), entry["r"])
+        got = {
+            "finite": find_finite_certificate(cm, entry["r"]).to_dict(cm),
+            "unique": find_unique_certificate(cm, entry["r"]).to_dict(cm),
+        }
+        for key, doc in got.items():
+            assert json.dumps(doc, sort_keys=True) == json.dumps(entry[key], sort_keys=True), line
