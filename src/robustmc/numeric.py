@@ -6,11 +6,17 @@ restart and random initializations afterwards.  A fit "admits rank r" when
 the relative Frobenius misfit on the observed cells drops to the tolerance.
 This is a numerical surrogate for an algebraic statement, so callers treat a
 failed fit as "does not admit" only once restarts are exhausted.
+
+Every (r+1)x(r+1) minor of a rank-r matrix vanishes, so the fully observed
+minors that certifiably do not vanish name cell sets that any admissible
+removal must hit (Kiraly, Theran & Tomioka, JMLR 2015); support
+identification uses them as a necessary-condition filter before fitting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -236,6 +242,89 @@ def rank_r_fit(
             break
     residual, iterations, converged = best
     return FitResult(residual, iterations, converged, residual <= tolerance, underdetermined)
+
+
+def _peel_to_rank_r(blocks: np.ndarray, threshold: float) -> np.ndarray:
+    """Columns to peel off each k x N block until its sigma_k is at most `threshold`.
+
+    Each round removes, in every block still above the threshold, the nonzero
+    column whose removal leaves the smallest sigma_k (the least eigenvalue of
+    the block's Gram matrix without that column).  A block stops once it has
+    fewer than k nonzero columns, so every block stops within N rounds.
+    """
+    k = blocks.shape[1]
+    blocks = blocks.copy()
+    peeled = np.zeros((blocks.shape[0], blocks.shape[2]), dtype=bool)
+    active = np.arange(blocks.shape[0])
+    while active.size:
+        live = blocks[active].any(axis=1)
+        above = live.sum(axis=1) >= k
+        above[above] = np.linalg.svd(blocks[active[above]], compute_uv=False)[:, -1] > threshold
+        active, live = active[above], live[above]
+        if active.size == 0:
+            break
+        sub = blocks[active]
+        outer = np.einsum("bin,bjn->bnij", sub, sub)
+        rest = np.linalg.eigvalsh(outer.sum(axis=1, keepdims=True) - outer)[:, :, 0]
+        worst = np.where(live, rest, np.inf).argmin(axis=1)
+        peeled[active, worst] = True
+        blocks[active, :, worst] = 0.0
+    return peeled
+
+
+def nonvanishing_minors(
+    observations: dict[Cell, float],
+    pattern: SamplingPattern,
+    r: int,
+    tolerance: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fully observed (r+1)x(r+1) minors that no rank-r fit at `tolerance` leaves intact.
+
+    A minor S is flagged when |det S| * (r / ||S||_F^2)^(r/2), a lower bound
+    on its smallest singular value sigma_{r+1}(S) (AM-GM on the top r), exceeds
+    2 * tolerance * ||M_Omega||_F; the factor 2 absorbs rounding.  A rank-r fit
+    whose relative misfit on a subset of the observed cells is at most
+    `tolerance` is within tolerance * ||M_Omega||_F of every fully observed
+    minor inside that subset, so by Weyl's inequality such a minor has
+    sigma_{r+1} at most that: every flagged minor must lose a cell.
+
+    The sigma_{r+1} of a minor is at most that of any column set holding it
+    (interlacing), so for each row (r+1)-subset the columns observed in all
+    its rows are peeled (`_peel_to_rank_r`) until the rest has sigma_{r+1} at
+    or below the threshold, and determinants are taken only of the minors
+    through a peeled column; a row subset that misses every noisy cell needs
+    none.  Minors are built one row subset at a time.  Returns the flagged
+    minors' rows and columns, two int arrays of shape (K, r+1), ascending
+    within a minor.
+    """
+    if r < 1:
+        raise ValueError("rank must be positive")
+    M, mask = _observation_arrays(observations, pattern)
+    k = r + 1
+    # |det| * r^(r/2) > threshold * ||S||_F^r, free of a division by ||S||_F
+    threshold = 2.0 * tolerance * float(np.linalg.norm(M))
+    scale = float(r) ** (r / 2)
+    row_sets = np.array(list(combinations(range(pattern.d), k)), dtype=np.intp).reshape(-1, k)
+    shared = mask[row_sets].all(axis=1)  # columns observed in all rows of each subset
+    peeled = _peel_to_rank_r(M[row_sets] * shared[:, None, :], threshold)
+    col_combos: dict[int, np.ndarray] = {}
+    found_rows, found_cols = [], []
+    for t in np.flatnonzero(peeled.any(axis=1)):
+        cols = np.flatnonzero(shared[t])
+        if cols.size not in col_combos:
+            col_combos[cols.size] = np.array(list(combinations(range(cols.size), k)), dtype=np.intp)
+        local = col_combos[cols.size]
+        combos = cols[local[peeled[t, cols][local].any(axis=1)]]
+        minors = M[row_sets[t]][:, combos].transpose(1, 0, 2)
+        fro2 = np.einsum("bij,bij->b", minors, minors)
+        flagged = np.abs(np.linalg.det(minors)) * scale > threshold * fro2 ** (r / 2)
+        if flagged.any():
+            found_cols.append(combos[flagged])
+            found_rows.append(np.broadcast_to(row_sets[t], found_cols[-1].shape))
+    if not found_rows:
+        empty = np.zeros((0, k), dtype=np.intp)
+        return empty, empty
+    return np.concatenate(found_rows), np.concatenate(found_cols)
 
 
 def batched_masked_rank_residuals(

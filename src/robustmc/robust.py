@@ -71,7 +71,11 @@ class RobustVerdict:
 
 
 class NoSupportFoundError(RuntimeError):
-    """No removal of the allowed size admits a rank-r fit at the tolerance."""
+    """No removal of the allowed size admits a rank-r fit at the tolerance.
+
+    `best_residual` is the smallest fit residual among the candidates that
+    were fitted, or None when the minor filter left none to fit.
+    """
 
     def __init__(self, message: str, best_residual: float | None = None):
         super().__init__(message)
@@ -174,6 +178,20 @@ def verify_unique(
     return _verify(pattern, r, budget, True, enumeration_cap)
 
 
+def _minor_hit_masks(pattern: SamplingPattern, rows: np.ndarray, cols: np.ndarray) -> list[int]:
+    """Per observed cell, a Python-int bitmask of the minors (rows[k], cols[k]) containing it."""
+
+    def masks(index: np.ndarray, size: int) -> list[int]:
+        member = np.zeros((size, len(index)), dtype=bool)
+        for t in range(index.shape[1]):
+            member[index[:, t], np.arange(len(index))] = True
+        packed = np.packbits(member, axis=1, bitorder="little")
+        return [int.from_bytes(m.tobytes(), "little") for m in packed]
+
+    by_row, by_col = masks(rows, pattern.d), masks(cols, pattern.N)
+    return [by_row[i] & by_col[j] for i, j in pattern.cells()]
+
+
 def identify_noise_support(
     noisy_observations: dict[Cell, float],
     pattern: SamplingPattern,
@@ -185,10 +203,11 @@ def identify_noise_support(
 
     Candidates are tried by cardinality 0, 1, ..., s and lexicographically
     within a cardinality; the first set whose remaining observations fit rank
-    r at `fit_tolerance` relative misfit is returned.  Dense patterns (at
-    least 70% observed) are prefiltered by the batched imputation screen
-    before the full alternating fit confirms a candidate; the screen threshold
-    is generous, so only clearly hopeless candidates are skipped.
+    r at `fit_tolerance` relative misfit is returned.  A candidate is fitted
+    only if it hits every fully observed (r+1)-minor that certifiably does not
+    vanish (`numeric.nonvanishing_minors`).  No candidate that misses such a
+    minor admits a fit at `fit_tolerance`, so the result is the one that
+    fitting every candidate in order would give, on any pattern.
     """
     if s < 0:
         raise ValueError("noise budget must be non-negative")
@@ -199,52 +218,32 @@ def identify_noise_support(
         if cell not in noisy_observations:
             raise ValueError(f"missing value for observed cell {cell}")
 
-    use_screen = len(cells) / (pattern.d * pattern.N) >= 0.7
-    screen_threshold = max(1e-3, 50.0 * fit_tolerance)
+    rows, cols = numeric.nonvanishing_minors(noisy_observations, pattern, r, fit_tolerance)
+    hits = _minor_hit_masks(pattern, rows, cols)
+    every_minor = (1 << len(rows)) - 1
 
-    values = np.zeros((pattern.d, pattern.N))
-    base_mask = np.zeros((pattern.d, pattern.N), dtype=bool)
-    for cell in cells:
-        values[cell] = noisy_observations[cell]
-        base_mask[cell] = True
-
-    def confirm(candidate: tuple[Cell, ...]) -> bool:
-        dropped = set(candidate)
-        remaining = {c: v for c, v in noisy_observations.items() if c in pattern.observed and c not in dropped}
-        sub = SamplingPattern(pattern.d, pattern.N, pattern.observed - dropped)
-        return numeric.rank_r_fit(remaining, sub, r, fit_tolerance).admits
-
+    passed = 0
     best_residual = np.inf
-    flat_cells = np.array([i * pattern.N + j for i, j in cells])
     for size in range(s + 1):
-        candidates = list(combinations(range(len(cells)), size))
-        if not use_screen:
-            for cand in candidates:
-                chosen = tuple(cells[i] for i in cand)
-                if confirm(chosen):
-                    return frozenset(chosen)
-            continue
-        batch_size = 512
-        for start in range(0, len(candidates), batch_size):
-            chunk = candidates[start : start + batch_size]
-            masks = np.broadcast_to(base_mask, (len(chunk),) + base_mask.shape).copy()
-            flat = masks.reshape(len(chunk), -1)
-            for b, cand in enumerate(chunk):
-                if cand:
-                    flat[b, flat_cells[list(cand)]] = False
-            residuals = numeric.batched_masked_rank_residuals(
-                values, masks, r, stop_below=screen_threshold
-            )
-            best_residual = min(best_residual, float(residuals.min(initial=np.inf)))
-            for b in np.flatnonzero(residuals <= screen_threshold):
-                chosen = tuple(cells[i] for i in chunk[b])
-                if confirm(chosen):
-                    return frozenset(chosen)
+        for cand in combinations(range(len(cells)), size):
+            hit = 0
+            for i in cand:
+                hit |= hits[i]
+            if hit != every_minor:
+                continue
+            passed += 1
+            dropped = {cells[i] for i in cand}
+            remaining = {c: noisy_observations[c] for c in cells if c not in dropped}
+            sub = SamplingPattern(pattern.d, pattern.N, pattern.observed - dropped)
+            fit = numeric.rank_r_fit(remaining, sub, r, fit_tolerance)
+            if fit.admits:
+                return frozenset(dropped)
+            best_residual = min(best_residual, fit.residual)
     raise NoSupportFoundError(
         f"no support of size <= {s} admits a rank-{r} fit at tolerance {fit_tolerance} "
-        f"(best screening residual {best_residual:.3e}); the rank may be wrong, the noise "
-        "heavier than budgeted, or the tolerance too tight",
-        best_residual=None if np.isinf(best_residual) else best_residual,
+        f"(candidates passing the vanishing-minor filter: {passed}); the rank may be wrong, "
+        "the noise heavier than budgeted, or the tolerance too tight",
+        best_residual=best_residual if passed else None,
     )
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from robustmc.numeric import (
     batched_masked_rank_residuals,
     generate_instance,
     load_instance_observations,
+    nonvanishing_minors,
     rank_r_fit,
     save_instance,
 )
@@ -128,6 +131,69 @@ class TestFit:
         p = SamplingPattern.from_cells(3, 3, [(0, 0)])
         fit = rank_r_fit({(0, 0): 0.0}, p, 1)
         assert fit.residual == 0.0
+
+
+def _flagged(values, pattern, r, tolerance):
+    rows, cols = nonvanishing_minors(
+        {c: float(values[c]) for c in pattern.cells()}, pattern, r, tolerance
+    )
+    return {(tuple(a), tuple(b)) for a, b in zip(rows.tolist(), cols.tolist())}
+
+
+class TestNonvanishingMinors:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_perturbation_within_tolerance_flags_nothing(self, r):
+        tol = 1e-6
+        inst = generate_instance(6, 8, r, seed=30 + r)
+        rng = np.random.default_rng(r)
+        budget = tol * np.linalg.norm(inst.X)
+        spread = rng.standard_normal(inst.X.shape)
+        spike = np.zeros(inst.X.shape)
+        spike[2, 3] = 1.0
+        for E in (spread, spike):
+            noisy = inst.X + budget * E / np.linalg.norm(E)
+            assert _flagged(noisy, inst.pattern, r, tol) == set()
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_planted_cell_flags_the_minors_through_it(self, r):
+        inst = generate_instance(6, 8, r, seed=40 + r)
+        noisy = inst.X.copy()
+        noisy[2, 3] += 1.0
+        through = {
+            (rows, cols)
+            for rows in combinations(range(6), r + 1)
+            for cols in combinations(range(8), r + 1)
+            if 2 in rows and 3 in cols
+        }
+        assert _flagged(noisy, inst.pattern, r, 1e-6) == through
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_every_minor_checked(self, seed):
+        # reference: the bound of every fully observed minor, no column peeling;
+        # noise from 1e-4 to O(1) on a few cells, and rank r+1 data at seed 7
+        d, N, r = 6, 9, 1 + seed % 3
+        rng = np.random.default_rng(seed)
+        pattern = SamplingPattern.from_cells(
+            d, N, [(i, j) for i in range(d) for j in range(N) if rng.random() < 0.85]
+        )
+        inst = generate_instance(d, N, r + (seed == 7), pattern=pattern, seed=seed)
+        noisy = inst.X.copy()
+        for cell in pattern.cells()[:: 11 + seed]:
+            noisy[cell] += 10.0 ** -(seed % 5) * rng.standard_normal()
+        tol = 1e-6
+        threshold = 2 * tol * np.linalg.norm([noisy[c] for c in pattern.cells()])
+        expected = set()
+        for rows in combinations(range(d), r + 1):
+            for cols in combinations(range(N), r + 1):
+                if all((i, j) in pattern.observed for i in rows for j in cols):
+                    S = noisy[np.ix_(rows, cols)]
+                    if abs(np.linalg.det(S)) * (r / np.sum(S * S)) ** (r / 2) > threshold:
+                        expected.add((rows, cols))
+        assert _flagged(noisy, pattern, r, tol) == expected
+
+    def test_no_minors_at_full_rank(self):
+        inst = generate_instance(3, 5, 3, seed=2)
+        assert _flagged(inst.X, inst.pattern, 3, 1e-6) == set()
 
 
 class TestBatchedScreen:

@@ -1,7 +1,8 @@
-"""Replay a fixed slice of each certify workload of the benchmark against its stored references.
+"""Replay a fixed slice of each workload of the benchmark against its stored references.
 
-A change to a verdict or to the first failing removal then fails this suite,
-not only the benchmark run.  Only files under perfbench/ are read.
+A change to a verdict, to the first failing removal or to a recovered noise
+support then fails this suite, not only the benchmark run.  Only files under
+perfbench/ are read.
 """
 
 import importlib.util
@@ -22,7 +23,7 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["verify-finite", "verify-unique", "simulate"])
+@pytest.mark.parametrize("name", ["verify-finite", "verify-unique", "simulate", "identify"])
 def test_workload_slice_matches_references(name):
     wl = _load_workloads()
     w = wl.WORKLOADS[name]

@@ -1,9 +1,10 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from robustmc import certify, numeric
+from robustmc import certify, numeric, sim
 from robustmc.pattern import (
     NoiseBudget,
     PatternFormatError,
@@ -199,8 +200,31 @@ class TestIdentify:
         inst = numeric.generate_instance(
             8, 24, 2, NoiseBudget.global_noise(3), planted=True, seed=seed
         )
-        with pytest.raises(NoSupportFoundError):
+        with pytest.raises(NoSupportFoundError) as excinfo:
             identify_noise_support(inst.observations(), inst.pattern, 2, 2, 1e-6)
+        # two cells cannot hit every minor through three noisy ones
+        assert excinfo.value.best_residual is None
+        assert "vanishing-minor filter: 0)" in str(excinfo.value)
+
+    def test_error_reports_best_fitted_residual(self):
+        # a 6-cycle holds no 2x2 minor, so the empty candidate is fitted and fails
+        cells = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
+        pattern = SamplingPattern.from_cells(3, 3, cells)
+        obs = dict(zip(cells, [1.0, 2.0, 3.0, 5.0, 7.0, 11.0]))
+        with pytest.raises(NoSupportFoundError) as excinfo:
+            identify_noise_support(obs, pattern, 1, 0, 1e-6)
+        assert excinfo.value.best_residual > 1e-6
+        assert "vanishing-minor filter: 1)" in str(excinfo.value)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_partially_observed_planted_cell_recovered(self, seed):
+        # 5 of 7 rows observed per column: a dense but partial pattern
+        pattern = sim.sample_pattern(7, 10, 5, np.random.default_rng(seed))
+        inst = numeric.generate_instance(
+            7, 10, 2, NoiseBudget.global_noise(1), planted=True, seed=seed, pattern=pattern
+        )
+        support = identify_noise_support(inst.observations(), inst.pattern, 2, 1, 1e-6)
+        assert support == inst.noise_support()
 
     def test_permutation_equivariance(self):
         inst = numeric.generate_instance(
@@ -220,6 +244,47 @@ class TestIdentify:
         pattern = SamplingPattern.full(2, 2)
         with pytest.raises(ValueError):
             identify_noise_support({(0, 0): 1.0}, pattern, 1, 0)
+
+
+def _fit_every_candidate(observations, pattern, r, s, tolerance):
+    """Reference: fit every candidate by cardinality, then lexicographically."""
+    for size in range(s + 1):
+        for cand in combinations(pattern.cells(), size):
+            sub = SamplingPattern(pattern.d, pattern.N, pattern.observed - set(cand))
+            remaining = {c: observations[c] for c in sub.cells()}
+            if numeric.rank_r_fit(remaining, sub, r, tolerance).admits:
+                return frozenset(cand)
+    return None
+
+
+# (seed, d, N, r, l, s, planted cells): partial patterns, s = 2 only where d*N <= 20
+DIFFERENTIAL_CASES = [
+    (0, 5, 6, 2, 4, 1, 1),
+    (1, 4, 5, 1, 3, 2, 2),
+    (3, 5, 4, 2, 4, 2, 1),
+    (4, 6, 7, 2, 4, 1, 0),
+    (5, 4, 5, 2, 3, 2, 3),
+    (8, 4, 5, 1, 2, 1, 1),
+    (15, 4, 4, 1, 3, 2, 1),
+    (16, 6, 6, 2, 5, 1, 1),
+    (23, 5, 6, 2, 4, 0, 1),
+    (24, 4, 6, 2, 4, 1, 2),
+    (25, 5, 6, 2, 5, 1, 2),
+]
+
+
+@pytest.mark.parametrize("seed,d,N,r,l,s,planted", DIFFERENTIAL_CASES)
+def test_identify_matches_fitting_every_candidate(seed, d, N, r, l, s, planted):
+    pattern = sim.sample_pattern(d, N, l, np.random.default_rng(seed))
+    inst = numeric.generate_instance(
+        d, N, r, NoiseBudget.global_noise(planted), planted=True, seed=seed, pattern=pattern
+    )
+    obs = inst.observations()
+    try:
+        support = identify_noise_support(obs, pattern, r, s, 1e-6)
+    except NoSupportFoundError:
+        support = None
+    assert support == _fit_every_candidate(obs, pattern, r, s, 1e-6)
 
 
 class TestObservationFormat:
