@@ -15,8 +15,9 @@ identification uses them as a necessary-condition filter before fitting.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -30,6 +31,9 @@ _SCREEN_MAX_ITERATIONS = 60
 _SCREEN_STALL_RATIO = 0.97
 _SCREEN_STALL_PATIENCE = 2
 _SCREEN_MIN_ITERATIONS = 6
+# iter_nonvanishing_minors: row subsets peeled at once, minors per determinant batch
+_PEEL_BATCH = 32
+_MINOR_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -272,12 +276,29 @@ def _peel_to_rank_r(blocks: np.ndarray, threshold: float) -> np.ndarray:
     return peeled
 
 
-def nonvanishing_minors(
+def _minors_through(cols: np.ndarray, peeled: np.ndarray, index: np.ndarray):
+    """The subsets of `cols` holding a column of `peeled`, in batches.
+
+    `index` holds the r-subsets of range(len(cols) - 1).  Each subset is
+    generated once, from its first peeled column, and lists that column first.
+    """
+    for n, p in enumerate(peeled):
+        others = cols[cols != p]
+        allowed = ~np.isin(others, peeled[:n])
+        for start in range(0, len(index), _MINOR_BATCH):
+            part = index[start : start + _MINOR_BATCH]
+            if n:
+                part = part[allowed[part].all(axis=1)]
+            yield np.column_stack([np.full(len(part), p), others[part]])
+
+
+def iter_nonvanishing_minors(
     observations: dict[Cell, float],
     pattern: SamplingPattern,
     r: int,
     tolerance: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    needed: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+):
     """Fully observed (r+1)x(r+1) minors that no rank-r fit at `tolerance` leaves intact.
 
     A minor S is flagged when |det S| * (r / ||S||_F^2)^(r/2), a lower bound
@@ -293,9 +314,14 @@ def nonvanishing_minors(
     its rows are peeled (`_peel_to_rank_r`) until the rest has sigma_{r+1} at
     or below the threshold, and determinants are taken only of the minors
     through a peeled column; a row subset that misses every noisy cell needs
-    none.  Minors are built one row subset at a time.  Returns the flagged
-    minors' rows and columns, two int arrays of shape (K, r+1), ascending
-    within a minor.
+    none.  Row subsets are peeled `_PEEL_BATCH` at a time and determinants
+    taken `_MINOR_BATCH` at a time, so apart from a table of the r-subsets of
+    range(n) per count n of shared columns, memory does not grow with the
+    number of minors.  Yields (rows, cols): one row subset, shape (r+1,), and the
+    flagged column subsets of one batch, shape (B, r+1), in no set order.
+    When given, `needed(rows, cols)` returns which column sets, of a batch or
+    single peeled columns, to decide; the minors it rejects, and those holding
+    a rejected column, are skipped and not yielded.
     """
     if r < 1:
         raise ValueError("rank must be positive")
@@ -304,27 +330,30 @@ def nonvanishing_minors(
     # |det| * r^(r/2) > threshold * ||S||_F^r, free of a division by ||S||_F
     threshold = 2.0 * tolerance * float(np.linalg.norm(M))
     scale = float(r) ** (r / 2)
-    row_sets = np.array(list(combinations(range(pattern.d), k)), dtype=np.intp).reshape(-1, k)
-    shared = mask[row_sets].all(axis=1)  # columns observed in all rows of each subset
-    peeled = _peel_to_rank_r(M[row_sets] * shared[:, None, :], threshold)
-    col_combos: dict[int, np.ndarray] = {}
-    found_rows, found_cols = [], []
-    for t in np.flatnonzero(peeled.any(axis=1)):
-        cols = np.flatnonzero(shared[t])
-        if cols.size not in col_combos:
-            col_combos[cols.size] = np.array(list(combinations(range(cols.size), k)), dtype=np.intp)
-        local = col_combos[cols.size]
-        combos = cols[local[peeled[t, cols][local].any(axis=1)]]
-        minors = M[row_sets[t]][:, combos].transpose(1, 0, 2)
-        fro2 = np.einsum("bij,bij->b", minors, minors)
-        flagged = np.abs(np.linalg.det(minors)) * scale > threshold * fro2 ** (r / 2)
-        if flagged.any():
-            found_cols.append(combos[flagged])
-            found_rows.append(np.broadcast_to(row_sets[t], found_cols[-1].shape))
-    if not found_rows:
-        empty = np.zeros((0, k), dtype=np.intp)
-        return empty, empty
-    return np.concatenate(found_rows), np.concatenate(found_cols)
+    indices: dict[int, np.ndarray] = {}
+    row_subsets = combinations(range(pattern.d), k)
+    while chunk := list(islice(row_subsets, _PEEL_BATCH)):
+        row_sets = np.array(chunk, dtype=np.intp)
+        shared = mask[row_sets].all(axis=1)  # columns observed in all rows of each subset
+        peeled = _peel_to_rank_r(M[row_sets] * shared[:, None, :], threshold)
+        for t in np.flatnonzero(peeled.any(axis=1)):
+            block = M[row_sets[t]]
+            cols = np.flatnonzero(shared[t])
+            if cols.size not in indices:
+                indices[cols.size] = np.array(
+                    list(combinations(range(cols.size - 1), r)), dtype=np.intp
+                ).reshape(-1, r)
+            through = np.flatnonzero(peeled[t])
+            if needed is not None:
+                through = through[needed(row_sets[t], through[:, None])]
+            for combos in _minors_through(cols, through, indices[cols.size]):
+                if needed is not None:
+                    combos = combos[needed(row_sets[t], combos)]
+                minors = block[:, combos].transpose(1, 0, 2)
+                fro2 = np.einsum("bij,bij->b", minors, minors)
+                flagged = np.abs(np.linalg.det(minors)) * scale > threshold * fro2 ** (r / 2)
+                if flagged.any():
+                    yield row_sets[t], combos[flagged]
 
 
 def batched_masked_rank_residuals(

@@ -18,6 +18,7 @@ The corresponding probabilistic bounds remain useful as formulas.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -178,18 +179,78 @@ def verify_unique(
     return _verify(pattern, r, budget, True, enumeration_cap)
 
 
-def _minor_hit_masks(pattern: SamplingPattern, rows: np.ndarray, cols: np.ndarray) -> list[int]:
-    """Per observed cell, a Python-int bitmask of the minors (rows[k], cols[k]) containing it."""
+def _missed(node: frozenset[Cell], rows: set[int], cols: np.ndarray) -> np.ndarray:
+    """Per row of `cols`, whether `node` holds no cell in `rows` x those columns."""
+    own = np.array([j for i, j in node if i in rows], dtype=np.intp)
+    return ~(cols[:, :, None] == own).any(axis=(1, 2))
 
-    def masks(index: np.ndarray, size: int) -> list[int]:
-        member = np.zeros((size, len(index)), dtype=bool)
-        for t in range(index.shape[1]):
-            member[index[:, t], np.arange(len(index))] = True
-        packed = np.packbits(member, axis=1, bitorder="little")
-        return [int.from_bytes(m.tobytes(), "little") for m in packed]
 
-    by_row, by_col = masks(rows, pattern.d), masks(cols, pattern.N)
-    return [by_row[i] & by_col[j] for i, j in pattern.cells()]
+def _small_hitting_sets(
+    observations: dict[Cell, float], pattern: SamplingPattern, r: int, s: int, tolerance: float
+) -> list[frozenset[Cell]]:
+    """Cell sets of size <= s, such that a set of at most s cells hits every
+    flagged minor exactly when it holds one of them.
+
+    A bounded search tree grown over the stream of
+    `numeric.iter_nonvanishing_minors`: a set that misses a minor is replaced
+    by its extensions with each of the minor's cells, or dropped when already
+    of size s, and sets holding another are pruned.  The kept sets are the
+    leaves of a tree of depth s and fan-out (r+1)^2, so at most (r+1)^(2s)
+    of them, however many minors are flagged.  A minor that every kept set
+    hits cannot change them, so its determinant is skipped.  The list is
+    empty when no set of size <= s hits them all (as with s+1 cell-disjoint
+    minors); the stream is then left unread.
+    """
+    live = [frozenset()]
+
+    def needed(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        rows = set(rows.tolist())
+        out = np.zeros(len(cols), dtype=bool)
+        for node in live:
+            out |= _missed(node, rows, cols)
+        return out
+
+    for rows, cols in numeric.iter_nonvanishing_minors(observations, pattern, r, tolerance, needed):
+        in_rows = set(rows.tolist())
+        queue, kept, seen = list(live), set(), set(live)
+        while queue:
+            node = queue.pop()
+            missed = _missed(node, in_rows, cols)
+            if not missed.any():
+                kept.add(node)
+            elif len(node) < s:
+                first = cols[missed.argmax()]
+                for child in (node | {(int(i), int(j))} for i in rows for j in first):
+                    if child not in seen:
+                        seen.add(child)
+                        queue.append(child)
+        live = []
+        for node in sorted(kept, key=len):
+            if not any(other <= node for other in live):
+                live.append(node)
+        if not live:
+            break
+    return live
+
+
+def _supersets(base: tuple[int, ...], n: int, size: int):
+    """The sorted `size`-subsets of range(n) holding `base`, in lexicographic order.
+
+    Adding fixed elements to sorted tuples keeps their lexicographic order.
+    """
+    rest = [k for k in range(n) if k not in base]
+    for extra in combinations(rest, size - len(base)):
+        yield tuple(sorted(base + extra))
+
+
+def _holding(bases: list[tuple[int, ...]], n: int, size: int):
+    """The sorted `size`-subsets of range(n) holding one of `bases`, each once,
+    in lexicographic order."""
+    previous = None
+    for cand in heapq.merge(*(_supersets(b, n, size) for b in bases if len(b) <= size)):
+        if cand != previous:
+            yield cand
+        previous = cand
 
 
 def identify_noise_support(
@@ -205,9 +266,10 @@ def identify_noise_support(
     within a cardinality; the first set whose remaining observations fit rank
     r at `fit_tolerance` relative misfit is returned.  A candidate is fitted
     only if it hits every fully observed (r+1)-minor that certifiably does not
-    vanish (`numeric.nonvanishing_minors`).  No candidate that misses such a
-    minor admits a fit at `fit_tolerance`, so the result is the one that
-    fitting every candidate in order would give, on any pattern.
+    vanish (`numeric.iter_nonvanishing_minors`), which it does exactly when it
+    holds one of the sets of `_small_hitting_sets`.  No candidate that misses
+    such a minor admits a fit at `fit_tolerance`, so the result is the one
+    that fitting every candidate in order would give, on any pattern.
     """
     if s < 0:
         raise ValueError("noise budget must be non-negative")
@@ -218,21 +280,17 @@ def identify_noise_support(
         if cell not in noisy_observations:
             raise ValueError(f"missing value for observed cell {cell}")
 
-    rows, cols = numeric.nonvanishing_minors(noisy_observations, pattern, r, fit_tolerance)
-    hits = _minor_hit_masks(pattern, rows, cols)
-    every_minor = (1 << len(rows)) - 1
-
+    position = {cell: k for k, cell in enumerate(cells)}
+    hitting = [
+        tuple(sorted(position[c] for c in node))
+        for node in _small_hitting_sets(noisy_observations, pattern, r, s, fit_tolerance)
+    ]
     passed = 0
     best_residual = np.inf
     for size in range(s + 1):
-        for cand in combinations(range(len(cells)), size):
-            hit = 0
-            for i in cand:
-                hit |= hits[i]
-            if hit != every_minor:
-                continue
+        for cand in _holding(hitting, len(cells), size):
             passed += 1
-            dropped = {cells[i] for i in cand}
+            dropped = {cells[k] for k in cand}
             remaining = {c: noisy_observations[c] for c in cells if c not in dropped}
             sub = SamplingPattern(pattern.d, pattern.N, pattern.observed - dropped)
             fit = numeric.rank_r_fit(remaining, sub, r, fit_tolerance)

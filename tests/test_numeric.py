@@ -3,11 +3,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from robustmc import numeric
 from robustmc.numeric import (
     batched_masked_rank_residuals,
     generate_instance,
+    iter_nonvanishing_minors,
     load_instance_observations,
-    nonvanishing_minors,
     rank_r_fit,
     save_instance,
 )
@@ -134,10 +135,27 @@ class TestFit:
 
 
 def _flagged(values, pattern, r, tolerance):
-    rows, cols = nonvanishing_minors(
-        {c: float(values[c]) for c in pattern.cells()}, pattern, r, tolerance
+    observations = {c: float(values[c]) for c in pattern.cells()}
+    return {
+        (tuple(rows.tolist()), tuple(sorted(c)))
+        for rows, cols in iter_nonvanishing_minors(observations, pattern, r, tolerance)
+        for c in cols.tolist()
+    }
+
+
+def _noisy_partial(seed):
+    """6x9, 85%-dense pattern, rank 1-3; noise from 1e-4 to O(1) on a few
+    cells, and rank r+1 data at seed 7."""
+    d, N, r = 6, 9, 1 + seed % 3
+    rng = np.random.default_rng(seed)
+    pattern = SamplingPattern.from_cells(
+        d, N, [(i, j) for i in range(d) for j in range(N) if rng.random() < 0.85]
     )
-    return {(tuple(a), tuple(b)) for a, b in zip(rows.tolist(), cols.tolist())}
+    inst = generate_instance(d, N, r + (seed == 7), pattern=pattern, seed=seed)
+    noisy = inst.X.copy()
+    for cell in pattern.cells()[:: 11 + seed]:
+        noisy[cell] += 10.0 ** -(seed % 5) * rng.standard_normal()
+    return noisy, pattern, r
 
 
 class TestNonvanishingMinors:
@@ -169,17 +187,9 @@ class TestNonvanishingMinors:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_every_minor_checked(self, seed):
-        # reference: the bound of every fully observed minor, no column peeling;
-        # noise from 1e-4 to O(1) on a few cells, and rank r+1 data at seed 7
-        d, N, r = 6, 9, 1 + seed % 3
-        rng = np.random.default_rng(seed)
-        pattern = SamplingPattern.from_cells(
-            d, N, [(i, j) for i in range(d) for j in range(N) if rng.random() < 0.85]
-        )
-        inst = generate_instance(d, N, r + (seed == 7), pattern=pattern, seed=seed)
-        noisy = inst.X.copy()
-        for cell in pattern.cells()[:: 11 + seed]:
-            noisy[cell] += 10.0 ** -(seed % 5) * rng.standard_normal()
+        # reference: the bound of every fully observed minor, no column peeling
+        noisy, pattern, r = _noisy_partial(seed)
+        d, N = noisy.shape
         tol = 1e-6
         threshold = 2 * tol * np.linalg.norm([noisy[c] for c in pattern.cells()])
         expected = set()
@@ -190,6 +200,15 @@ class TestNonvanishingMinors:
                     if abs(np.linalg.det(S)) * (r / np.sum(S * S)) ** (r / 2) > threshold:
                         expected.add((rows, cols))
         assert _flagged(noisy, pattern, r, tol) == expected
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_batch_sizes_do_not_change_the_minors(self, seed, monkeypatch):
+        # several peel batches, several determinant batches per peeled column
+        noisy, pattern, r = _noisy_partial(seed)
+        expected = _flagged(noisy, pattern, r, 1e-6)
+        monkeypatch.setattr(numeric, "_PEEL_BATCH", 2)
+        monkeypatch.setattr(numeric, "_MINOR_BATCH", 3)
+        assert _flagged(noisy, pattern, r, 1e-6) == expected
 
     def test_no_minors_at_full_rank(self):
         inst = generate_instance(3, 5, 3, seed=2)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,8 @@ from robustmc.pattern import (
 from robustmc.robust import (
     NoSupportFoundError,
     RobustOutcome,
+    _holding,
+    _small_hitting_sets,
     identify_noise_support,
     parse_observations,
     serialize_observations,
@@ -206,6 +209,34 @@ class TestIdentify:
         assert excinfo.value.best_residual is None
         assert "vanishing-minor filter: 0)" in str(excinfo.value)
 
+    @pytest.mark.parametrize("rank,planted", [(3, 0), (2, 30)])
+    def test_far_from_rank_r_ends_early_in_bounded_memory(self, rank, planted, monkeypatch):
+        # rank-3 data, or 30 noisy cells, at r=2 and s=1: of the C(20,3)*C(60,3),
+        # about 39M, fully observed minors nearly all are flagged, and two
+        # cell-disjoint ones end the search before any candidate is fitted
+        inst = numeric.generate_instance(
+            20, 60, rank, NoiseBudget.global_noise(planted), planted=True, seed=7
+        )
+        read = []
+        stream = numeric.iter_nonvanishing_minors
+
+        def counted(*args):
+            for rows, cols in stream(*args):
+                read.append(len(cols))
+                yield rows, cols
+
+        monkeypatch.setattr(numeric, "iter_nonvanishing_minors", counted)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoSupportFoundError) as excinfo:
+                identify_noise_support(inst.observations(), inst.pattern, 2, 1, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.best_residual is None
+        assert sum(read) < 10_000
+        assert peak < 16e6
+
     def test_error_reports_best_fitted_residual(self):
         # a 6-cycle holds no 2x2 minor, so the empty candidate is fitted and fails
         cells = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
@@ -255,6 +286,39 @@ def _fit_every_candidate(observations, pattern, r, s, tolerance):
             if numeric.rank_r_fit(remaining, sub, r, tolerance).admits:
                 return frozenset(cand)
     return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_small_hitting_sets_decide_the_filter(seed):
+    # a set of at most s cells hits every flagged minor iff it holds a returned set
+    d, N, r, s = 5, 6, 1 + seed % 2, 1 + seed % 3 // 2
+    pattern = sim.sample_pattern(d, N, 4, np.random.default_rng(seed))
+    inst = numeric.generate_instance(
+        d, N, r, NoiseBudget.global_noise(seed % 4), planted=True, seed=seed, pattern=pattern
+    )
+    obs = inst.observations()
+    minors = [
+        {(i, j) for i in rows.tolist() for j in c}
+        for rows, cols in numeric.iter_nonvanishing_minors(obs, pattern, r, 1e-6)
+        for c in cols.tolist()
+    ]
+    sets = _small_hitting_sets(obs, pattern, r, s, 1e-6)
+    assert all(len(h) <= s for h in sets)
+    for size in range(s + 1):
+        for cand in combinations(pattern.cells(), size):
+            cand = set(cand)
+            assert all(m & cand for m in minors) == any(h <= cand for h in sets)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_holding_lists_each_superset_once_in_order(seed):
+    rng = random.Random(seed)
+    n = 7
+    low = 0 if seed == 3 else 1  # the empty base holds every subset
+    bases = [tuple(sorted(rng.sample(range(n), rng.randint(low, 3)))) for _ in range(4)]
+    for size in range(5):
+        expected = [c for c in combinations(range(n), size) if any(set(b) <= set(c) for b in bases)]
+        assert list(_holding(bases, n, size)) == expected
 
 
 # (seed, d, N, r, l, s, planted cells): partial patterns, s = 2 only where d*N <= 20
