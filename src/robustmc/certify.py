@@ -22,6 +22,14 @@ of the direct sum of both count matroids (one copy of the columns each) and
 the origin partition matroid, so it is decided exactly the same way.  Every
 verdict is therefore Finite/Unique or Refuted, never indeterminate.
 
+The certificates are sufficient conditions for finite and unique
+completability, so Refuted means "not certified".  At r=1 the fully observed
+4x5 matrix is uniquely completable, but its 5 origins cannot host a witness
+pair of 3 + 3 columns; a 3x4 pattern with column 0 full and columns 1-3
+observing only row 0 is finitely completable, but only one origin carries
+constraint columns.  A Finite verdict also presumes every data column has
+at least r observed cells (see `find_finite_certificate`).
+
 The intersection asks the count matroid through the (k, k*r) pebble game on
 the rows, kept incrementally as columns enter and leave; a failed pebble
 search also yields the column's fundamental circuit.  Found witnesses are
@@ -457,81 +465,64 @@ def _max_rainbow_witnesses(
     return tuple(map(tuple, members))
 
 
-def find_finite_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
-    """Search for an origin-distinct witness of r*(d-r) columns passing the k=r condition.
+def _certificate(cm: ConstraintMatrix, r: int, unique: bool) -> Certificate:
+    """Origin-distinct witnesses: r*(d-r) columns at k=r, plus d-r more at k=1 if unique.
 
-    Decided exactly by matroid intersection, so the verdict is always Finite
-    or Refuted.
+    Decided exactly by one matroid intersection with one copy of the columns
+    per witness (see `_max_rainbow_witnesses`), so the verdict is always
+    positive or Refuted.
     """
     if r != cm.r:
         raise ValueError("constraint matrix was built with a different rank")
-    target = r * (cm.d - r)
-    if target <= 0:
-        return Certificate(Verdict.FINITE, r, finite_witness=())
-    groups = cm.origin_groups()
-    if len(groups) < target:
+    positive = Verdict.UNIQUE if unique else Verdict.FINITE
+    parts = [(CountCondition.finite(r), r * (cm.d - r))]
+    if unique:
+        parts.append((CountCondition.unique(r), cm.d - r))
+    if parts[0][1] <= 0:
+        return Certificate(positive, r, *(() for _ in parts))
+    required = sum(size for _, size in parts)
+    available = len(set(cm.origins))
+    if available < required:
         return Certificate(
             Verdict.REFUTED,
             r,
-            refutation={
-                "kind": "insufficient_origins",
-                "available": len(groups),
-                "required": target,
-            },
-            note="fewer source columns with constraint columns than the witness needs",
+            refutation={"kind": "insufficient_origins", "available": available, "required": required},
+            note=(
+                "fewer source columns with constraint columns than the two witnesses need"
+                if unique
+                else "fewer source columns with constraint columns than the witness needs"
+            ),
         )
-    cond = CountCondition.finite(r)
-    found = _max_rainbow_witnesses(cm, ((cond, target),))
-    if found is None:
-        return Certificate(
-            Verdict.REFUTED,
-            r,
-            refutation={"kind": "no_witness", "required": target},
-            note="matroid intersection proves no witness of the required size exists",
-        )
-    (witness,) = found
-    if not validate_witness(cm, witness, cond):
-        raise RuntimeError("internal error: witness failed independent validation")
-    return Certificate(Verdict.FINITE, r, finite_witness=witness)
-
-
-def find_unique_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
-    """Search for two origin-disjoint witnesses: r*(d-r) columns at k=r plus d-r at k=1.
-
-    Decided exactly by one matroid intersection over two copies of the
-    columns (see `_max_rainbow_witnesses`), so the verdict is always Unique
-    or Refuted.
-    """
-    if r != cm.r:
-        raise ValueError("constraint matrix was built with a different rank")
-    target_main = r * (cm.d - r)
-    target_side = cm.d - r
-    if target_main <= 0:
-        return Certificate(Verdict.UNIQUE, r, finite_witness=(), unique_witness=())
-    groups = cm.origin_groups()
-    required = target_main + target_side
-    if len(groups) < required:
-        return Certificate(
-            Verdict.REFUTED,
-            r,
-            refutation={
-                "kind": "insufficient_origins",
-                "available": len(groups),
-                "required": required,
-            },
-            note="fewer source columns with constraint columns than the two witnesses need",
-        )
-    cond_main = CountCondition.finite(r)
-    cond_side = CountCondition.unique(r)
-    found = _max_rainbow_witnesses(cm, ((cond_main, target_main), (cond_side, target_side)))
+    found = _max_rainbow_witnesses(cm, parts)
     if found is None:
         return Certificate(
             Verdict.REFUTED,
             r,
             refutation={"kind": "no_witness", "required": required},
-            note="matroid intersection proves no origin-disjoint witness pair exists",
+            note=(
+                "matroid intersection proves no origin-disjoint witness pair exists"
+                if unique
+                else "matroid intersection proves no witness of the required size exists"
+            ),
         )
-    main, side = found
-    if not validate_witness(cm, main, cond_main) or not validate_witness(cm, side, cond_side):
-        raise RuntimeError("internal error: witness failed independent validation")
-    return Certificate(Verdict.UNIQUE, r, finite_witness=main, unique_witness=side)
+    for witness, (cond, _) in zip(found, parts):
+        if not validate_witness(cm, witness, cond):
+            raise RuntimeError("internal error: witness failed independent validation")
+    return Certificate(positive, r, *found)
+
+
+def find_finite_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
+    """Finite or Refuted: one origin-distinct witness of r*(d-r) columns at k=r.
+
+    Precondition: every data column has at least r observed cells.  A column
+    with fewer has infinitely many completions but adds no constraint
+    columns, so the search cannot see it: a 3x3 pattern with two full
+    columns and one empty column gets Finite at r=1.  `robust.verify_finite`
+    refutes such patterns by its premise floor.
+    """
+    return _certificate(cm, r, unique=False)
+
+
+def find_unique_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
+    """Unique or Refuted: origin-disjoint witnesses of r*(d-r) columns at k=r and d-r at k=1."""
+    return _certificate(cm, r, unique=True)

@@ -43,10 +43,6 @@ class Instance:
     X: np.ndarray
     noise: dict[Cell, float]
     pattern: SamplingPattern
-    r: int
-    budget: NoiseBudget | None
-    planted: bool
-    seed: int
 
     def observations(self) -> dict[Cell, float]:
         obs = {}
@@ -56,17 +52,6 @@ class Instance:
 
     def noise_support(self) -> frozenset[Cell]:
         return frozenset(self.noise)
-
-    def metadata(self) -> dict:
-        return {
-            "d": self.pattern.d,
-            "N": self.pattern.N,
-            "r": self.r,
-            "budget": self.budget.describe() if self.budget else None,
-            "planted": self.planted,
-            "seed": self.seed,
-            "noise_support": sorted(self.noise),
-        }
 
 
 @dataclass(frozen=True)
@@ -125,31 +110,7 @@ def generate_instance(
                 support.extend((col[i], j) for i in sorted(picks))
         for cell in support:
             noise[cell] = float(rng.standard_normal())
-    return Instance(X, noise, pattern, r, budget, planted, seed)
-
-
-def save_instance(instance: Instance, path) -> None:
-    """Write the observation file plus a `<path>.meta.json` sidecar."""
-    import json
-
-    from .robust import save_observations
-
-    save_observations(instance.pattern, instance.observations(), path)
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(instance.metadata(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_instance_observations(path):
-    """Read back an instance's observations and sidecar metadata."""
-    import json
-
-    from .robust import load_observations
-
-    pattern, values = load_observations(path)
-    with open(f"{path}.meta.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return pattern, values, meta
+    return Instance(X, noise, pattern)
 
 
 def _observation_arrays(observations: dict[Cell, float], pattern: SamplingPattern):

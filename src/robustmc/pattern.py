@@ -120,17 +120,9 @@ class ConstraintMatrix:
     r: int
     columns: tuple[tuple[int, ...], ...]  # sorted row supports, each of size r+1
     origins: tuple[int, ...]              # source data column per constraint column
-    extras: tuple[int, ...]               # the row distinguishing the column within its origin
 
     def __len__(self) -> int:
         return len(self.columns)
-
-    def origin_groups(self) -> list[tuple[int, list[int]]]:
-        """(origin, [column indices]) pairs, origins ascending, columns extra-ascending."""
-        groups: dict[int, list[int]] = {}
-        for idx, origin in enumerate(self.origins):
-            groups.setdefault(origin, []).append(idx)
-        return sorted(groups.items())
 
 
 def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatrix:
@@ -142,7 +134,6 @@ def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatri
         raise ValueError("rank must be positive")
     columns: list[tuple[int, ...]] = []
     origins: list[int] = []
-    extras: list[int] = []
     for j in range(pattern.N):
         rows = pattern.column_rows(j)
         if len(rows) <= r:
@@ -151,12 +142,16 @@ def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatri
         for extra in rows[r:]:
             columns.append(tuple(sorted(base + (extra,))))
             origins.append(j)
-            extras.append(extra)
-    return ConstraintMatrix(pattern.d, r, tuple(columns), tuple(origins), tuple(extras))
+    return ConstraintMatrix(pattern.d, r, tuple(columns), tuple(origins))
 
 
 def remove_entries(pattern: SamplingPattern, removal: RemovalSet) -> SamplingPattern:
-    """Delete the removal cells from the pattern; every cell must be observed."""
+    """Delete the removal cells from the pattern; every cell must be observed.
+
+    An empty removal returns the pattern itself.
+    """
+    if not removal.cells:
+        return pattern
     missing = removal.cells - pattern.observed
     if missing:
         raise ValueError(f"removal contains unobserved cells: {sorted(missing)[:4]}")

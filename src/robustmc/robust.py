@@ -175,7 +175,12 @@ def verify_unique(
     budget: NoiseBudget,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> RobustVerdict:
-    """Unique completability under the budget: every removal keeps a disjoint witness pair."""
+    """Unique completability under the budget: every removal keeps a disjoint witness pair.
+
+    The witness pair is sufficient, not necessary, so Refuted means "not
+    certified": the fully observed 4x5 matrix at r=1 is uniquely completable,
+    yet it is Refuted even at global:0.
+    """
     return _verify(pattern, r, budget, True, enumeration_cap)
 
 
@@ -324,8 +329,3 @@ def parse_observations(text: str) -> tuple[SamplingPattern, dict[Cell, float]]:
 def load_observations(path) -> tuple[SamplingPattern, dict[Cell, float]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_observations(fh.read())
-
-
-def save_observations(pattern: SamplingPattern, values: dict[Cell, float], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_observations(pattern, values))

@@ -86,9 +86,7 @@ def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
     return SamplingPattern(d, N, frozenset(cells))
 
 
-def estimate_pass_probability(
-    cfg: TrialConfig, enumeration_cap: int = DEFAULT_TRIAL_ENUMERATION_CAP
-) -> TrialOutcome:
+def estimate_pass_probability(cfg: TrialConfig) -> TrialOutcome:
     """Fraction of sampled patterns passing the robust verifier, with Wilson 95% CI."""
     verifier = robust.verify_unique if cfg.target == "unique" else robust.verify_finite
     passes = 0
@@ -97,7 +95,7 @@ def estimate_pass_probability(
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
         pattern = sample_pattern(cfg.d, cfg.N, cfg.l, rng)
-        verdict = verifier(pattern, cfg.r, cfg.budget, enumeration_cap=enumeration_cap)
+        verdict = verifier(pattern, cfg.r, cfg.budget, enumeration_cap=DEFAULT_TRIAL_ENUMERATION_CAP)
         if verdict.verdict in (robust.RobustOutcome.FINITE, robust.RobustOutcome.UNIQUE):
             passes += 1
         elif verdict.premise_violation:
@@ -135,7 +133,6 @@ def empirical_threshold(
     trials: int,
     seed: int,
     target: str = "finite",
-    enumeration_cap: int = DEFAULT_TRIAL_ENUMERATION_CAP,
 ) -> ThresholdResult:
     """Smallest l whose estimated pass rate reaches 1 - epsilon, scanning up to d.
 
@@ -148,7 +145,7 @@ def empirical_threshold(
     threshold = None
     for l in range(robust.premise_floor(r, budget, target == "unique"), d + 1):
         cfg = TrialConfig(d, N, r, l, budget, trials, seed=seed * 1_000_003 + l, target=target)
-        outcome = estimate_pass_probability(cfg, enumeration_cap)
+        outcome = estimate_pass_probability(cfg)
         rows.append((l, outcome))
         if outcome.point_estimate >= 1.0 - epsilon:
             threshold = l

@@ -18,7 +18,8 @@ from robustmc.certify import (
     min_slack_exhaustive,
     validate_witness,
 )
-from robustmc.pattern import SamplingPattern, build_constraint_matrix
+from robustmc.pattern import NoiseBudget, SamplingPattern, build_constraint_matrix
+from robustmc.robust import RobustOutcome, verify_finite
 
 
 def random_candidate(rng, max_d=8, max_cols=12):
@@ -93,6 +94,16 @@ class TestFiniteCertificate:
         origins = {cm.origins[i] for i in cert.finite_witness}
         assert origins == {0, 1}
         assert validate_witness(cm, cert.finite_witness, CountCondition.finite(1))
+
+    def test_column_below_rank_is_outside_the_precondition(self):
+        # an empty third column is never determined, yet adds no constraint
+        # columns, so the certificate alone says Finite; the verifier's
+        # premise floor refutes the pattern
+        pattern = SamplingPattern.from_cells(3, 3, [(i, j) for i in range(3) for j in range(2)])
+        assert find_finite_certificate(build_constraint_matrix(pattern, 1), 1).verdict == Verdict.FINITE
+        verdict = verify_finite(pattern, 1, NoiseBudget.global_noise(0))
+        assert verdict.verdict == RobustOutcome.REFUTED
+        assert verdict.premise_violation
 
     def test_single_origin_refuted(self):
         cm = build_constraint_matrix(SamplingPattern.full(3, 1), 1)
@@ -181,11 +192,13 @@ class TestBruteForceAgreement:
             if len(cm) > 12:
                 continue
             cond = CountCondition.finite(r)
-            groups = cm.origin_groups()
+            groups: dict[int, list[int]] = {}
+            for idx, origin in enumerate(cm.origins):
+                groups.setdefault(origin, []).append(idx)
             exists = False
             if len(groups) >= target:
-                for chosen in combinations(groups, target):
-                    for cols in product(*(g[1] for g in chosen)):
+                for chosen in combinations(groups.values(), target):
+                    for cols in product(*chosen):
                         if min_slack_exhaustive(cm, cols, cond) >= 0:
                             exists = True
                             break
@@ -241,6 +254,62 @@ class TestUniqueDifferential:
             main_origins = {cm.origins[i] for i in cert.finite_witness}
             side_origins = {cm.origins[i] for i in cert.unique_witness}
             assert not main_origins & side_origins
+
+
+def _row_column_graph_connected(pattern):
+    """Union-find over rows 0..d-1 and columns d..d+N-1, one edge per observed cell."""
+    parent = list(range(pattern.d + pattern.N))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in pattern.observed:
+        parent[find(i)] = find(pattern.d + j)
+    return len({find(x) for x in range(len(parent))}) == 1
+
+
+@st.composite
+def rank_one_patterns(draw):
+    """Patterns with d <= 7 and N <= 10 in which every column observes at least one row."""
+    d = draw(st.integers(2, 7))
+    N = draw(st.integers(1, 10))
+    columns = [draw(st.sets(st.integers(0, d - 1), min_size=1)) for _ in range(N)]
+    return SamplingPattern.from_cells(d, N, [(i, j) for j, rows in enumerate(columns) for i in rows])
+
+
+class TestRankOneConnectivity:
+    """At r=1 a pattern is finitely (and uniquely) completable iff its row-column graph is connected.
+
+    The certificates are sufficient conditions, so only one direction is checked:
+    a certificate implies a connected graph, and a connected graph may be refuted.
+    """
+
+    @given(rank_one_patterns())
+    @settings(deadline=None, max_examples=300)
+    def test_certificate_implies_connected(self, pattern):
+        cm = build_constraint_matrix(pattern, 1)
+        if (
+            find_finite_certificate(cm, 1).verdict == Verdict.FINITE
+            or find_unique_certificate(cm, 1).verdict == Verdict.UNIQUE
+        ):
+            assert _row_column_graph_connected(pattern)
+
+    def test_connected_pattern_can_be_refuted(self):
+        # column 0 full, columns 1-3 observe only row 0: connected, yet a single
+        # origin carries constraint columns where the witness needs two
+        pattern = SamplingPattern.from_cells(3, 4, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3)])
+        assert _row_column_graph_connected(pattern)
+        cert = find_finite_certificate(build_constraint_matrix(pattern, 1), 1)
+        assert cert.verdict == Verdict.REFUTED
+        assert cert.refutation["kind"] == "insufficient_origins"
+
+    def test_fully_observed_matrix_can_be_refuted_for_uniqueness(self):
+        cm = build_constraint_matrix(SamplingPattern.full(4, 5), 1)
+        assert find_finite_certificate(cm, 1).verdict == Verdict.FINITE
+        assert find_unique_certificate(cm, 1).verdict == Verdict.REFUTED
 
 
 @st.composite

@@ -8,9 +8,7 @@ from robustmc.numeric import (
     batched_masked_rank_residuals,
     generate_instance,
     iter_nonvanishing_minors,
-    load_instance_observations,
     rank_r_fit,
-    save_instance,
 )
 from robustmc.pattern import NoiseBudget, SamplingPattern
 
@@ -61,16 +59,6 @@ class TestGenerate:
     def test_rank_exceeding_dimensions_rejected(self):
         with pytest.raises(ValueError):
             generate_instance(3, 5, 4)
-
-    def test_save_load_with_sidecar(self, tmp_path):
-        inst = generate_instance(5, 7, 2, NoiseBudget.global_noise(2), seed=14)
-        path = tmp_path / "inst.obs"
-        save_instance(inst, path)
-        pattern, values, meta = load_instance_observations(path)
-        assert pattern == inst.pattern
-        assert values == pytest.approx(inst.observations())
-        assert meta["seed"] == 14
-        assert {tuple(c) for c in meta["noise_support"]} == inst.noise_support()
 
 
 class TestFit:

@@ -31,7 +31,6 @@ class TestConstraintMatrix:
     def test_three_observations_rank_two(self):
         cm = build_constraint_matrix(pat(5, 1, [(0, 0), (2, 0), (4, 0)]), r=2)
         assert cm.columns == ((0, 2, 4),)
-        assert cm.extras == (4,)
 
     def test_column_with_exactly_r_observations_contributes_nothing(self):
         cm = build_constraint_matrix(pat(4, 1, [(0, 0), (1, 0)]), r=2)
@@ -52,7 +51,10 @@ class TestConstraintMatrix:
         p = pat(5, 2, [(0, 0), (1, 0), (3, 0), (4, 0), (2, 1), (3, 1), (4, 1)])
         cm = build_constraint_matrix(p, 2)
         for origin in range(2):
-            extras = [cm.extras[i] for i in range(len(cm)) if cm.origins[i] == origin]
+            base = set(p.column_rows(origin)[:2])
+            extras = [
+                (set(rows) - base).pop() for rows, o in zip(cm.columns, cm.origins) if o == origin
+            ]
             assert tuple(extras) == p.column_rows(origin)[2:]
 
     def test_per_origin_count(self):
@@ -66,6 +68,10 @@ class TestRemoval:
     def test_remove_nothing_is_identity(self):
         p = pat(2, 2, [(0, 0), (1, 1)])
         assert remove_entries(p, RemovalSet(frozenset())) == p
+
+    def test_remove_nothing_returns_the_pattern_itself(self):
+        p = SamplingPattern.full(3, 4)
+        assert remove_entries(p, RemovalSet(frozenset())) is p
 
     def test_remove_one_cell(self):
         p = SamplingPattern.full(2, 2)

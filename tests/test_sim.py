@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from robustmc.bounds import BoundQuery, noiseless_bound
 from robustmc.pattern import NoiseBudget
 from robustmc.sim import (
+    DEFAULT_TRIAL_ENUMERATION_CAP,
     TrialConfig,
     empirical_threshold,
     estimate_pass_probability,
@@ -47,9 +50,11 @@ class TestEstimate:
         assert estimate_pass_probability(cfg) == estimate_pass_probability(cfg)
 
     def test_indeterminate_counts_as_failure(self):
-        # an enumeration cap of zero forces Indeterminate on every trial
-        cfg = TrialConfig(4, 4, 1, 3, NoiseBudget.global_noise(1), trials=5, seed=1)
-        outcome = estimate_pass_probability(cfg, enumeration_cap=0)
+        # C(900, 2) = 404,550 two-cell removals exceed the trial cap, so every
+        # trial is Indeterminate, decided by counting alone
+        cfg = TrialConfig(30, 30, 1, 30, NoiseBudget.global_noise(2), trials=5, seed=1)
+        assert math.comb(30 * 30, 2) > DEFAULT_TRIAL_ENUMERATION_CAP
+        outcome = estimate_pass_probability(cfg)
         assert outcome.pass_count == 0
         assert outcome.indeterminate_count == 5
 
