@@ -33,7 +33,6 @@ from .pattern import (
     load_pattern,
     parse_pattern,
     remove_entries,
-    save_pattern,
     serialize_pattern,
 )
 from .rank import RankCeiling, estimate_rank_ceiling, probabilistic_rank_premise, rank_dichotomy

@@ -7,8 +7,9 @@ Three regimes share the shape "smallest integer l beating a max of branches":
   per-column g: l - 12(g+1)*log(l/(g+1))    > max{12(log(d/eps)+g+1),   2r, r+g+1}
 
 The noisy left-hand sides are strictly increasing for l above 12*(r+s+1)
-(resp. 12*(g+1)), so an upward integer scan starting there is exact.  All
-bounds carry the premise r <= d/6; violations are flagged, never hidden.
+(resp. 12*(g+1)), so a search from there by doubling, then bisection, is
+exact.  All bounds carry the premise r <= d/6; violations are flagged, never
+hidden.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .pattern import GLOBAL, PER_COLUMN, NoiseBudget
-
-_SCAN_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -122,23 +121,34 @@ def columnwise_condition(l: int, d: int, epsilon: float, r: int, g: int) -> bool
 
 
 def _noisy_bound(q: BoundQuery) -> BoundResult:
-    """Upward scan for the budget's noisy inequality, from its monotone region."""
+    """Smallest l above 12m satisfying the budget's noisy inequality.
+
+    The left-hand side increases for l > 12m, so once the inequality holds it
+    keeps holding: double l until it holds, then bisect.  `lo` is never an
+    answer (12m itself, or an l that fails); `hi` always holds.
+    """
     m, branches = _noisy_branches(q.d, q.epsilon, q.r, q.budget)
-    for l in range(math.floor(12 * m) + 1, _SCAN_CAP + 1):
-        if _holds(l, m, branches):
-            return _result(q, l, branches)
-    raise RuntimeError("sample-count scan exceeded its safety cap")
+    lo, hi = 12 * m, 12 * m + 1
+    while not _holds(hi, m, branches):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _holds(mid, m, branches):
+            hi = mid
+        else:
+            lo = mid
+    return _result(q, hi, branches)
 
 
 def global_noise_bound(q: BoundQuery) -> BoundResult:
-    """Upward scan for the global-noise inequality, from its monotone region."""
+    """Smallest l satisfying the global-noise inequality, from its monotone region."""
     if q.budget is None or q.budget.kind != GLOBAL:
         raise ValueError("query needs a global noise budget")
     return _noisy_bound(q)
 
 
 def columnwise_noise_bound(q: BoundQuery) -> BoundResult:
-    """Upward scan for the column-wise-noise inequality, from its monotone region."""
+    """Smallest l satisfying the column-wise-noise inequality, from its monotone region."""
     if q.budget is None or q.budget.kind != PER_COLUMN:
         raise ValueError("query needs a per-column noise budget")
     return _noisy_bound(q)

@@ -91,7 +91,7 @@ class Certificate:
     refutation: dict | None = None
     note: str = ""
 
-    def to_dict(self, cm: ConstraintMatrix | None = None) -> dict:
+    def to_dict(self, cm: ConstraintMatrix) -> dict:
         doc: dict = {"verdict": self.verdict.value, "rank": self.r, "note": self.note}
         if self.refutation is not None:
             doc["refutation"] = self.refutation
@@ -101,16 +101,13 @@ class Certificate:
         ):
             if witness is None:
                 continue
-            if cm is None:
-                doc[name] = {"columns": list(witness)}
-            else:
-                doc[name] = {
-                    "columns": [
-                        {"column": i, "origin": cm.origins[i], "rows": list(cm.columns[i])}
-                        for i in witness
-                    ],
-                    "min_slack": min_slack(cm, witness, cond) if witness else None,
-                }
+            doc[name] = {
+                "columns": [
+                    {"column": i, "origin": cm.origins[i], "rows": list(cm.columns[i])}
+                    for i in witness
+                ],
+                "min_slack": min_slack(cm, witness, cond) if witness else None,
+            }
         return doc
 
 

@@ -25,6 +25,9 @@ from .pattern import GLOBAL, Cell, NoiseBudget, SamplingPattern
 
 _CONVERGENCE_DELTA = 1e-10
 _RANK_TOL = 1e-9
+# rank_r_fit: ALS sweeps per start, and starts (one spectral, the rest random)
+_MAX_ITERATIONS = 500
+_RESTARTS = 5
 # batched_masked_rank_residuals: iteration cap, stall rule, and the
 # iteration from which a slice may stop
 _SCREEN_MAX_ITERATIONS = 60
@@ -58,9 +61,7 @@ class Instance:
 class FitResult:
     residual: float
     iterations: int
-    converged: bool
     admits: bool
-    underdetermined_columns: tuple[int, ...] = ()
 
 
 def generate_instance(
@@ -132,12 +133,11 @@ def _group_keys(mask: np.ndarray, axis: int) -> dict[bytes, list[int]]:
     return groups
 
 
-def _als_sweeps(M, mask, A, B, col_groups, row_groups, max_iterations, norm, tolerance):
+def _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance):
     """Alternate factor solves until the residual stabilizes; returns best state."""
     residual = np.inf
     iterations = 0
-    converged = False
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         # columns given row factors
         for key, cols in col_groups.items():
             rows = np.flatnonzero(np.frombuffer(key, dtype=bool))
@@ -156,15 +156,11 @@ def _als_sweeps(M, mask, A, B, col_groups, row_groups, max_iterations, norm, tol
             A[rows, :] = sol.T
         new_residual = float(np.linalg.norm((A @ B - M) * mask) / norm)
         iterations = it
-        if abs(residual - new_residual) < _CONVERGENCE_DELTA:
-            residual = new_residual
-            converged = True
-            break
+        stalled = abs(residual - new_residual) < _CONVERGENCE_DELTA
         residual = new_residual
-        if residual <= tolerance:
-            converged = True
+        if stalled or residual <= tolerance:
             break
-    return residual, iterations, converged
+    return residual, iterations
 
 
 def rank_r_fit(
@@ -172,23 +168,19 @@ def rank_r_fit(
     pattern: SamplingPattern,
     r: int,
     tolerance: float = 1e-6,
-    max_iterations: int = 500,
-    restarts: int = 5,
 ) -> FitResult:
-    """Best relative misfit of a rank-r factor model on the observed cells."""
+    """Best relative misfit of a rank-r factor model on the cells `pattern` observes."""
     if r < 1:
         raise ValueError("rank must be positive")
     M, mask = _observation_arrays(observations, pattern)
-    counts = mask.sum(axis=0)
-    underdetermined = tuple(int(j) for j in np.flatnonzero((counts > 0) & (counts < r)))
     norm = float(np.linalg.norm(M * mask))
     if norm == 0.0:
-        return FitResult(0.0, 0, True, True, underdetermined)
+        return FitResult(0.0, 0, True)
     col_groups = _group_keys(mask, axis=1)
     row_groups = _group_keys(mask, axis=0)
 
-    best = (np.inf, 0, False)
-    for restart in range(max(1, restarts)):
+    best = (np.inf, 0)
+    for restart in range(_RESTARTS):
         if restart == 0:
             U, S, Vt = np.linalg.svd(M * mask, full_matrices=False)
             root = np.sqrt(S[:r])
@@ -198,15 +190,13 @@ def rank_r_fit(
             rng = np.random.default_rng([0, restart])
             A = rng.standard_normal((pattern.d, r))
             B = rng.standard_normal((r, pattern.N))
-        residual, iterations, converged = _als_sweeps(
-            M, mask, A, B, col_groups, row_groups, max_iterations, norm, tolerance
-        )
+        residual, iterations = _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance)
         if residual < best[0]:
-            best = (residual, iterations, converged)
+            best = (residual, iterations)
         if best[0] <= tolerance:
             break
-    residual, iterations, converged = best
-    return FitResult(residual, iterations, converged, residual <= tolerance, underdetermined)
+    residual, iterations = best
+    return FitResult(residual, iterations, residual <= tolerance)
 
 
 def _peel_to_rank_r(blocks: np.ndarray, threshold: float) -> np.ndarray:
@@ -258,7 +248,7 @@ def iter_nonvanishing_minors(
     pattern: SamplingPattern,
     r: int,
     tolerance: float,
-    needed: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    needed: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ):
     """Fully observed (r+1)x(r+1) minors that no rank-r fit at `tolerance` leaves intact.
 
@@ -280,9 +270,9 @@ def iter_nonvanishing_minors(
     range(n) per count n of shared columns, memory does not grow with the
     number of minors.  Yields (rows, cols): one row subset, shape (r+1,), and the
     flagged column subsets of one batch, shape (B, r+1), in no set order.
-    When given, `needed(rows, cols)` returns which column sets, of a batch or
-    single peeled columns, to decide; the minors it rejects, and those holding
-    a rejected column, are skipped and not yielded.
+    `needed(rows, cols)` returns which column sets, of a batch or single
+    peeled columns, to decide; the minors it rejects, and those holding a
+    rejected column, are skipped and not yielded.
     """
     if r < 1:
         raise ValueError("rank must be positive")
@@ -305,11 +295,9 @@ def iter_nonvanishing_minors(
                     list(combinations(range(cols.size - 1), r)), dtype=np.intp
                 ).reshape(-1, r)
             through = np.flatnonzero(peeled[t])
-            if needed is not None:
-                through = through[needed(row_sets[t], through[:, None])]
+            through = through[needed(row_sets[t], through[:, None])]
             for combos in _minors_through(cols, through, indices[cols.size]):
-                if needed is not None:
-                    combos = combos[needed(row_sets[t], combos)]
+                combos = combos[needed(row_sets[t], combos)]
                 minors = block[:, combos].transpose(1, 0, 2)
                 fro2 = np.einsum("bij,bij->b", minors, minors)
                 flagged = np.abs(np.linalg.det(minors)) * scale > threshold * fro2 ** (r / 2)

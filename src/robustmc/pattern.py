@@ -104,9 +104,6 @@ class NoiseBudget:
     def per_column(cls, g: int) -> "NoiseBudget":
         return cls(PER_COLUMN, g)
 
-    def describe(self) -> str:
-        return f"{'global' if self.kind == GLOBAL else 'percolumn'}:{self.amount}"
-
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
@@ -192,7 +189,8 @@ def enumerate_removals(
     need = budget.amount + extra
 
     if budget.kind == GLOBAL:
-        stream: Iterable[tuple[Cell, ...]] = combinations(pattern.cells(), need)
+        # need == 0 yields the one empty removal without sorting the cells
+        stream: Iterable[tuple[Cell, ...]] = combinations(pattern.cells() if need else (), need)
     else:
         per_column = []
         for j in range(pattern.N):
@@ -270,8 +268,3 @@ def parse_pattern(text: str) -> SamplingPattern:
 def load_pattern(path) -> SamplingPattern:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_pattern(fh.read())
-
-
-def save_pattern(pattern: SamplingPattern, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_pattern(pattern))

@@ -281,9 +281,6 @@ def identify_noise_support(
     cells = pattern.cells()
     if not cells:
         raise ValueError("pattern has no observed cells")
-    for cell in cells:
-        if cell not in noisy_observations:
-            raise ValueError(f"missing value for observed cell {cell}")
 
     position = {cell: k for k, cell in enumerate(cells)}
     hitting = [
@@ -296,9 +293,8 @@ def identify_noise_support(
         for cand in _holding(hitting, len(cells), size):
             passed += 1
             dropped = {cells[k] for k in cand}
-            remaining = {c: noisy_observations[c] for c in cells if c not in dropped}
             sub = SamplingPattern(pattern.d, pattern.N, pattern.observed - dropped)
-            fit = numeric.rank_r_fit(remaining, sub, r, fit_tolerance)
+            fit = numeric.rank_r_fit(noisy_observations, sub, r, fit_tolerance)
             if fit.admits:
                 return frozenset(dropped)
             best_residual = min(best_residual, fit.residual)

@@ -54,17 +54,6 @@ class TrialOutcome:
     premise_failures: int = 0
     indeterminate_count: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "pass_count": self.pass_count,
-            "trial_count": self.trial_count,
-            "point_estimate": self.point_estimate,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "premise_failures": self.premise_failures,
-            "indeterminate_count": self.indeterminate_count,
-        }
-
 
 def wilson_interval(passes: int, trials: int) -> tuple[float, float]:
     z = WILSON_Z
@@ -114,14 +103,6 @@ class ThresholdResult:
     theory_l_min: int      # uncapped bound value
     theory_l_min_capped: int
     rows: list[tuple[int, TrialOutcome]]
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "theory_l_min": self.theory_l_min,
-            "theory_l_min_capped": self.theory_l_min_capped,
-            "rows": [{"l": l, **o.to_dict()} for l, o in self.rows],
-        }
 
 
 def empirical_threshold(

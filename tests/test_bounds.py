@@ -1,10 +1,10 @@
 import math
+from itertools import product
 
 import pytest
 
 from robustmc.bounds import (
     BoundQuery,
-    BoundResult,
     NOISELESS_SENTINEL,
     columnwise_condition,
     columnwise_noise_bound,
@@ -120,6 +120,30 @@ class TestColumnwiseNoise:
         start = math.floor(12 * m) + 1
         values = [lhs(l) for l in range(start, start + 200)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+class TestSearch:
+    def test_matches_an_upward_scan(self):
+        # the bound is the first l above 12m that satisfies the inequality
+        kinds = (
+            (global_noise_bound, NoiseBudget.global_noise, global_condition, lambda r, a: r + a + 1),
+            (columnwise_noise_bound, NoiseBudget.per_column, columnwise_condition, lambda r, a: a + 1),
+        )
+        grid = product(kinds, (10, 600, 10**5), (0.5, 1e-3), (1, 7), (0, 3))
+        for (bound, budget, condition, m), d, eps, r, a in grid:
+            l = 12 * m(r, a) + 1
+            while not condition(l, d, eps, r, a):
+                l += 1
+            assert bound(q(d, r, eps, budget=budget(a))).l_min == l, (d, eps, r, budget(a))
+
+    def test_answers_beyond_ten_million(self):
+        res = columnwise_noise_bound(
+            q(6_000_000, 1_000_000, 0.01, budget=NoiseBudget.per_column(1_000_000))
+        )
+        assert res.l_min > 10_000_000
+        assert not res.feasible
+        assert columnwise_condition(res.l_min, 6_000_000, 0.01, 1_000_000, 1_000_000)
+        assert not columnwise_condition(res.l_min - 1, 6_000_000, 0.01, 1_000_000, 1_000_000)
 
 
 class TestCoupled:

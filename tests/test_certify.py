@@ -3,12 +3,12 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustmc.certify import (
-    Certificate,
     _PebbleGame,
     CountCondition,
     Verdict,
@@ -310,6 +310,88 @@ class TestRankOneConnectivity:
         cm = build_constraint_matrix(SamplingPattern.full(4, 5), 1)
         assert find_finite_certificate(cm, 1).verdict == Verdict.FINITE
         assert find_unique_certificate(cm, 1).verdict == Verdict.REFUTED
+
+
+_P = 2**31 - 1  # prime; a product of two residues fits in int64
+
+
+def _rank_mod_p(A):
+    """Rank over GF(_P) by row reduction."""
+    A = A % _P
+    rank = 0
+    for c in range(A.shape[1]):
+        nonzero = np.flatnonzero(A[rank:, c])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + nonzero[0]
+        A[[rank, pivot]] = A[[pivot, rank]]
+        A[rank] = A[rank] * pow(int(A[rank, c]), _P - 2, _P) % _P
+        below = rank + 1 + np.flatnonzero(A[rank + 1 :, c])
+        A[below] = (A[below] - A[below, c][:, None] * A[rank]) % _P
+        rank += 1
+        if rank == A.shape[0]:
+            break
+    return rank
+
+
+def _generically_finite(cells, d, N, r):
+    """Whether (U, V) -> (UV^T) on `cells` has Jacobian rank r(d+N) - r^2 at one of
+    two seeded random points over GF(_P).
+
+    That rank at any point means the pattern is generically finitely completable
+    (Kiraly, Theran & Tomioka, JMLR 2015); a point can only fall short of the
+    generic rank, so False may be an unlucky pair of points.
+    """
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        U = rng.integers(0, _P, size=(d, r), dtype=np.int64)
+        V = rng.integers(0, _P, size=(N, r), dtype=np.int64)
+        J = np.zeros((len(cells), r * (d + N)), dtype=np.int64)
+        for k, (i, j) in enumerate(cells):
+            J[k, i * r : (i + 1) * r] = V[j]
+            J[k, (d + j) * r : (d + j + 1) * r] = U[i]
+        if _rank_mod_p(J) == r * (d + N) - r * r:
+            return True
+    return False
+
+
+class TestJacobianOracle:
+    """Finite verdicts cross-checked against the algebraic rank test.
+
+    Certificates are sufficient conditions, so only positives are checked.
+    """
+
+    def test_oracle_sees_an_empty_row(self):
+        full = SamplingPattern.full(5, 8).cells()
+        assert _generically_finite(full, 5, 8, 2)
+        assert not _generically_finite([(i, j) for i, j in full if i != 0], 5, 8, 2)
+
+    def test_finite_verdicts_have_full_jacobian_rank(self):
+        rng = random.Random(0)
+        positives = []
+        for _ in range(368):
+            d = rng.randint(3, 8)
+            r = rng.randint(1, min(3, d - 1))
+            N = rng.randint(r * (d - r), r * (d - r) + 4)
+            columns = [rng.sample(range(d), rng.randint(r, d)) for _ in range(N)]
+            pattern = SamplingPattern.from_cells(
+                d, N, [(i, j) for j, rows in enumerate(columns) for i in rows]
+            )
+            cert = find_finite_certificate(build_constraint_matrix(pattern, r), r)
+            if cert.verdict == Verdict.FINITE:
+                assert _generically_finite(pattern.cells(), d, N, r), (d, N, r, columns)
+                positives.append((pattern, r))
+        assert len(positives) >= 100
+        robust = 0
+        for pattern, r in positives[::4]:
+            if verify_finite(pattern, r, NoiseBudget.global_noise(1)).verdict != RobustOutcome.FINITE:
+                continue
+            robust += 1
+            cells = pattern.cells()
+            for cell in cells:
+                rest = [c for c in cells if c != cell]
+                assert _generically_finite(rest, pattern.d, pattern.N, r), (pattern, r, cell)
+        assert robust >= 5
 
 
 @st.composite

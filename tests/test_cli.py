@@ -101,6 +101,16 @@ class TestBounds:
                           "--noise", "sideways:2"])
         assert code == 64
 
+    def test_bound_beyond_ten_million_samples(self):
+        code, text = invoke(
+            ["bounds", "--d", "6000000", "--r", "1000000", "--eps", "0.01",
+             "--noise", "percolumn:1000000", "--format", "json"]
+        )
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["l_min"] == 61_411_447
+        assert doc["feasible"] is False
+
 
 class TestSweep:
     def test_reference_sweep(self, tmp_path):

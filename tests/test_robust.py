@@ -273,7 +273,7 @@ class TestIdentify:
 
     def test_missing_value_rejected(self):
         pattern = SamplingPattern.full(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"missing value for observed cell \(0, 1\)"):
             identify_noise_support({(0, 0): 1.0}, pattern, 1, 0)
 
 
@@ -299,7 +299,9 @@ def test_small_hitting_sets_decide_the_filter(seed):
     obs = inst.observations()
     minors = [
         {(i, j) for i in rows.tolist() for j in c}
-        for rows, cols in numeric.iter_nonvanishing_minors(obs, pattern, r, 1e-6)
+        for rows, cols in numeric.iter_nonvanishing_minors(
+            obs, pattern, r, 1e-6, lambda rows, cols: np.ones(len(cols), dtype=bool)
+        )
         for c in cols.tolist()
     ]
     sets = _small_hitting_sets(obs, pattern, r, s, 1e-6)
