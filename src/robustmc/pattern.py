@@ -11,6 +11,7 @@ on these columns.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Iterator
@@ -132,27 +133,72 @@ def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatri
     columns: list[tuple[int, ...]] = []
     origins: list[int] = []
     for j in range(pattern.N):
-        rows = pattern.column_rows(j)
-        if len(rows) <= r:
-            continue
-        base = rows[:r]
-        for extra in rows[r:]:
-            columns.append(tuple(sorted(base + (extra,))))
-            origins.append(j)
+        _append_columns(columns, origins, pattern, j, r)
     return ConstraintMatrix(pattern.d, r, tuple(columns), tuple(origins))
+
+
+def _append_columns(
+    columns: list, origins: list, pattern: SamplingPattern, j: int, r: int
+) -> None:
+    """Append data column j's constraint columns; its rows ascend, so each
+    base-plus-extra support is already sorted."""
+    rows = pattern.column_rows(j)
+    base = rows[:r]
+    for extra in rows[r:]:
+        columns.append(base + (extra,))
+        origins.append(j)
+
+
+def rebuild_origins(
+    cm: ConstraintMatrix, pattern: SamplingPattern, touched: Iterable[int]
+) -> ConstraintMatrix:
+    """`cm` with the constraint columns of the touched data columns rebuilt from `pattern`.
+
+    Equals `build_constraint_matrix(pattern, cm.r)` whenever `pattern`
+    differs from the pattern `cm` was built from only in the touched
+    columns.  Their old columns are found by bisecting the ascending origins
+    and replaced from the right, so the positions found in `cm` stay valid.
+    """
+    columns, origins = list(cm.columns), list(cm.origins)
+    for j in sorted(set(touched), reverse=True):
+        lo = bisect_left(cm.origins, j)
+        hi = bisect_right(cm.origins, j, lo)
+        fresh_columns: list[tuple[int, ...]] = []
+        fresh_origins: list[int] = []
+        _append_columns(fresh_columns, fresh_origins, pattern, j, cm.r)
+        columns[lo:hi] = fresh_columns
+        origins[lo:hi] = fresh_origins
+    return ConstraintMatrix(cm.d, cm.r, tuple(columns), tuple(origins))
 
 
 def remove_entries(pattern: SamplingPattern, removal: RemovalSet) -> SamplingPattern:
     """Delete the removal cells from the pattern; every cell must be observed.
 
-    An empty removal returns the pattern itself.
+    An empty removal returns the pattern itself.  Otherwise only the columns
+    the removal touches get a new row index; the others share the parent's,
+    which already passed every check `__post_init__` would repeat.
     """
-    if not removal.cells:
+    cells = removal.cells
+    if not cells:
         return pattern
-    missing = removal.cells - pattern.observed
+    missing = cells - pattern.observed
     if missing:
         raise ValueError(f"removal contains unobserved cells: {sorted(missing)[:4]}")
-    return SamplingPattern(pattern.d, pattern.N, pattern.observed - removal.cells)
+    rows = list(pattern._rows_by_column)
+    for j in {j for _, j in cells}:
+        # from a list, not a generator: CPython keeps the block of a freed
+        # tuple that was grown by resizing on the free list for its length,
+        # and over many removals those lists fill and raise peak RSS
+        rows[j] = tuple([i for i in rows[j] if (i, j) not in cells])
+    out = object.__new__(SamplingPattern)
+    for name, value in (
+        ("d", pattern.d),
+        ("N", pattern.N),
+        ("observed", pattern.observed - cells),
+        ("_rows_by_column", tuple(rows)),
+    ):
+        object.__setattr__(out, name, value)
+    return out
 
 
 def count_removals(pattern: SamplingPattern, budget: NoiseBudget, extra: int) -> int:

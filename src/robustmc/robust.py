@@ -4,9 +4,24 @@ The finite (resp. unique) verdict holds when every admissible removal of the
 budgeted noise support leaves a pattern whose constraint matrix carries a
 finite (resp. unique plus disjoint) certificate.  Global budgets remove
 exactly s cells for the finite check and s+1 for the unique check; per-column
-budgets remove exactly g+1 cells per column for both.  Global enumeration is
-exact with early exit on the first failure; certificates are always decided,
-so the only Indeterminate is an enumeration larger than the configurable cap.
+budgets remove exactly g+1 cells per column for both.  Certificates are always
+decided, so the only Indeterminate is an enumeration larger than the
+configurable cap.
+
+Global enumeration runs in lexicographic order and stops at the first
+failure, but not every removal needs a certificate.  The cells of the 32
+latest positive witnesses (or witness pairs) whose columns are all
+constraint columns of the unremoved pattern are kept, and a removal that
+touches none of the cells of one of them is accepted unsolved.  Such a
+removal leaves each witness column's first r rows and extra row observed,
+and removing other cells of a data column never changes its first r rows, so
+every witness column is still a constraint column afterwards.  Slack depends
+only on the row supports and the origins stay distinct, so the witness is
+still valid, and the exact matroid intersection would have answered
+positive.  A failing removal is therefore always solved, and the verdict, the
+checked count, the failing removal and the reason are those of solving every
+removal.  A solved removal's constraint matrix is the unremoved pattern's
+with the columns of the data columns it touches rebuilt.
 
 The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
@@ -29,6 +44,7 @@ from . import certify, numeric
 from .pattern import (
     GLOBAL,
     Cell,
+    ConstraintMatrix,
     NoiseBudget,
     RemovalSet,
     SamplingPattern,
@@ -36,10 +52,13 @@ from .pattern import (
     count_removals,
     enumerate_removals,
     read_cell_lines,
+    rebuild_origins,
     remove_entries,
 )
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
+# witness cell sets the global enumeration keeps for its filter
+_KEPT_WITNESSES = 32
 
 
 class RobustOutcome(Enum):
@@ -108,6 +127,28 @@ def _row_erasing_removal(pattern: SamplingPattern, need: int) -> RemovalSet:
     )
 
 
+def _witness_cells(
+    pattern: SamplingPattern, cm: ConstraintMatrix, cert: certify.Certificate
+) -> frozenset[Cell] | None:
+    """The cells a positive certificate's witnesses touch, or None unless every
+    witness column is also a constraint column of `pattern`.
+
+    `cm` comes from `pattern` less some cells, so a witness column (j, rows)
+    has its extra row rows[r] observed in `pattern` after rows[:r]; it is a
+    constraint column of `pattern` when rows[:r] are still the first r
+    observed rows of data column j there.
+    """
+    r = cm.r
+    cells: set[Cell] = set()
+    for witness in (cert.finite_witness, cert.unique_witness):
+        for c in witness or ():
+            j, rows = cm.origins[c], cm.columns[c]
+            if rows[:r] != pattern.column_rows(j)[:r]:
+                return None
+            cells.update((i, j) for i in rows)
+    return frozenset(cells)
+
+
 def _verify(
     pattern: SamplingPattern,
     r: int,
@@ -115,13 +156,14 @@ def _verify(
     unique: bool,
     enumeration_cap: int,
 ) -> RobustVerdict:
+    if enumeration_cap < 0:
+        raise ValueError("enumeration cap must be non-negative")
     positive = RobustOutcome.UNIQUE if unique else RobustOutcome.FINITE
     failure = _premise_failure(pattern, r, budget, unique)
     if failure is not None:
         return RobustVerdict(RobustOutcome.REFUTED, reason=failure, premise_violation=True)
 
-    def check(removal: RemovalSet) -> certify.Certificate:
-        cm = build_constraint_matrix(remove_entries(pattern, removal), r)
+    def certificate(cm: ConstraintMatrix) -> certify.Certificate:
         if unique:
             return certify.find_unique_certificate(cm, r)
         return certify.find_finite_certificate(cm, r)
@@ -130,7 +172,7 @@ def _verify(
         # the premise gives r < d; with a row empty, a finite witness W would
         # need r*rows(W) >= |W| + r*r = r*d while rows(W) <= d-1
         removal = _row_erasing_removal(pattern, budget.amount + 1)
-        cert = check(removal)
+        cert = certificate(build_constraint_matrix(remove_entries(pattern, removal), r))
         if cert.verdict != certify.Verdict.REFUTED:
             raise RuntimeError("internal error: a row-erasing removal kept a certificate")
         return RobustVerdict(
@@ -145,10 +187,18 @@ def _verify(
             reason=f"{total} removal patterns exceed the enumeration cap of {enumeration_cap}",
         )
 
+    base = build_constraint_matrix(pattern, r)
+    kept: list[frozenset[Cell]] = []  # cells of witnesses valid in `pattern`, most recent first
     checked = 0
     for removal in enumerate_removals(pattern, budget, extra):
         checked += 1
-        cert = check(removal)
+        if any(removal.cells.isdisjoint(cells) for cells in kept):
+            continue
+        cm = base
+        if removal.cells:
+            sub = remove_entries(pattern, removal)
+            cm = rebuild_origins(base, sub, (j for _, j in removal.cells))
+        cert = certificate(cm)
         if cert.verdict == certify.Verdict.REFUTED:
             return RobustVerdict(
                 RobustOutcome.REFUTED,
@@ -156,6 +206,10 @@ def _verify(
                 failing_removal=removal,
                 reason=cert.note,
             )
+        cells = _witness_cells(pattern, cm, cert)
+        if cells is not None:
+            kept.insert(0, cells)
+            del kept[_KEPT_WITNESSES:]
     return RobustVerdict(positive, checked=checked)
 
 

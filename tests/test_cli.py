@@ -50,6 +50,14 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_negative_cap_is_usage_error(self, full_pattern_file):
+        code, text = invoke(
+            ["verify", "--pattern", full_pattern_file, "--rank", "1",
+             "--noise", "global:1", "--cap", "-5"]
+        )
+        assert code == 64
+        assert text == ""
+
     @pytest.mark.parametrize("flag", ["--search-budget", "--threads", "--prescreen", "--seed"])
     def test_removed_tuning_flags_are_usage_errors(self, full_pattern_file, flag):
         code, _ = invoke(["verify", "--pattern", full_pattern_file, "--rank", "1", flag, "2"])

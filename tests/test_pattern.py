@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from robustmc.pattern import (
     count_removals,
     enumerate_removals,
     parse_pattern,
+    rebuild_origins,
     remove_entries,
     serialize_pattern,
 )
@@ -99,6 +101,65 @@ class TestRemoval:
         joint = remove_entries(p, RemovalSet(e1 | e2))
         stepwise = remove_entries(remove_entries(p, RemovalSet(e1)), RemovalSet(e2))
         assert joint == stepwise
+
+
+def _random_pattern(rng, d, N):
+    return SamplingPattern(
+        d, N, frozenset((i, j) for j in range(N) for i in rng.sample(range(d), rng.randint(0, d)))
+    )
+
+
+class TestRemovalDelta:
+    """`remove_entries` re-indexes only touched columns, and `rebuild_origins`
+    re-derives only their constraint columns; both match a rebuild from scratch."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_remove_entries_equals_a_fresh_pattern(self, seed):
+        rng = random.Random(seed)
+        p = _random_pattern(rng, 6, 5)
+        cells = p.cells()
+        for size in (1, 2, 3):
+            removal = frozenset(rng.sample(cells, min(size, len(cells))))
+            q = remove_entries(p, RemovalSet(removal))
+            fresh = SamplingPattern(p.d, p.N, p.observed - removal)
+            assert q == fresh
+            assert hash(q) == hash(fresh)
+            assert all(q.column_rows(j) == fresh.column_rows(j) for j in range(p.N))
+
+    def test_remove_entries_leaves_the_parent_intact(self):
+        p = SamplingPattern.full(3, 2)
+        remove_entries(p, RemovalSet(frozenset({(0, 0)})))
+        assert p.column_rows(0) == (0, 1, 2) and len(p.observed) == 6
+
+    @pytest.mark.parametrize(
+        "removal",
+        [
+            {(0, 1)},                  # a base row: every column of origin 1 changes
+            {(4, 1)},                  # an extra row: one column of origin 1 goes
+            {(1, 0), (3, 2)},          # a base row and an extra row in two columns
+            {(0, 0), (2, 1), (4, 3)},  # the first, a middle and the last column
+            {(0, 3), (1, 3), (2, 3)},  # origin 3 drops to r rows and loses all columns
+        ],
+    )
+    def test_rebuild_origins_equals_a_full_rebuild(self, removal):
+        p = SamplingPattern.full(5, 4)
+        r = 2
+        sub = remove_entries(p, RemovalSet(frozenset(removal)))
+        spliced = rebuild_origins(build_constraint_matrix(p, r), sub, (j for _, j in removal))
+        assert spliced == build_constraint_matrix(sub, r)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rebuild_origins_on_random_removals(self, seed):
+        rng = random.Random(100 + seed)
+        p = _random_pattern(rng, 7, 6)
+        cells = p.cells()
+        for r in (1, 2, 3):
+            base = build_constraint_matrix(p, r)
+            for size in (1, 2, 3):
+                removal = frozenset(rng.sample(cells, min(size, len(cells))))
+                sub = remove_entries(p, RemovalSet(removal))
+                spliced = rebuild_origins(base, sub, (j for _, j in removal))
+                assert spliced == build_constraint_matrix(sub, r)
 
 
 class TestEnumeration:

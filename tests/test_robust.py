@@ -9,16 +9,20 @@ from robustmc import certify, numeric, sim
 from robustmc.pattern import (
     NoiseBudget,
     PatternFormatError,
+    RemovalSet,
     SamplingPattern,
     build_constraint_matrix,
+    count_removals,
     enumerate_removals,
     remove_entries,
 )
 from robustmc.robust import (
     NoSupportFoundError,
     RobustOutcome,
+    RobustVerdict,
     _holding,
     _small_hitting_sets,
+    _witness_cells,
     identify_noise_support,
     parse_observations,
     serialize_observations,
@@ -166,6 +170,76 @@ class TestVerifyUnique:
                 assert verdict.verdict == RobustOutcome.REFUTED
                 assert verdict.checked == 1
                 assert verdict.failing_removal == first_failure
+
+
+def _resolve_every_removal(pattern, r, budget, unique, find) -> dict:
+    """The global verdict without the witness filter: one certificate per removal."""
+    checked = 0
+    for removal in enumerate_removals(pattern, budget, extra=1 if unique else 0):
+        checked += 1
+        cert = find(build_constraint_matrix(remove_entries(pattern, removal), r), r)
+        if cert.verdict == certify.Verdict.REFUTED:
+            return RobustVerdict(RobustOutcome.REFUTED, checked, removal, cert.note).to_dict()
+    positive = RobustOutcome.UNIQUE if unique else RobustOutcome.FINITE
+    return RobustVerdict(positive, checked).to_dict()
+
+
+class TestWitnessFilter:
+    def test_matches_resolving_every_removal(self, monkeypatch):
+        # finite global:0-2 and unique global:0-1 on d <= 7, r <= 2, with N
+        # around the number of origins the witnesses need, so both verdicts
+        # occur; certificate calls are counted to see the filter skip removals
+        find = {False: certify.find_finite_certificate, True: certify.find_unique_certificate}
+        calls = [0]
+
+        def counted(original):
+            def certificate(cm, r):
+                calls[0] += 1
+                return original(cm, r)
+
+            return certificate
+
+        monkeypatch.setattr(certify, "find_finite_certificate", counted(find[False]))
+        monkeypatch.setattr(certify, "find_unique_certificate", counted(find[True]))
+        rng = random.Random(8)
+        skipped, outcomes, cases = 0, set(), 0
+        while cases < 60:
+            unique = cases % 2 == 1
+            d = rng.randint(3, 7)
+            r = rng.randint(1, min(2, d - 1))
+            s = rng.randint(0, 1 if unique else 2)
+            floor = r + s + unique
+            if floor > d:
+                continue
+            origins = r * (d - r) + (d - r if unique else 0)
+            pattern = random_pattern(rng, d, rng.randint(max(origins - 1, 1), origins + 3), floor)
+            budget = NoiseBudget.global_noise(s)
+            if count_removals(pattern, budget, int(unique)) > 600:
+                continue
+            cases += 1
+            before = calls[0]
+            verdict = (verify_unique if unique else verify_finite)(pattern, r, budget)
+            skipped += verdict.checked - (calls[0] - before)
+            outcomes.add(verdict.verdict)
+            expected = _resolve_every_removal(pattern, r, budget, unique, find[unique])
+            assert verdict.to_dict() == expected
+        assert skipped > 0
+        assert {RobustOutcome.FINITE, RobustOutcome.UNIQUE, RobustOutcome.REFUTED} <= outcomes
+
+    def test_keeps_only_witnesses_made_of_the_patterns_own_columns(self):
+        pattern = SamplingPattern.full(3, 2)
+
+        def cells_after(removed):
+            sub = remove_entries(pattern, RemovalSet(frozenset({removed})))
+            cm = build_constraint_matrix(sub, 1)
+            return _witness_cells(pattern, cm, certify.find_finite_certificate(cm, 1))
+
+        # an extra row leaves column 0's base row 0: the witness is {0,1} in
+        # column 0 and {0,2} in column 1, both constraint columns of the pattern
+        assert cells_after((2, 0)) == {(0, 0), (1, 0), (0, 1), (2, 1)}
+        # a base row moves column 0's base to row 1, and its column {1,2} is
+        # not one of the pattern's, so the witness is not kept
+        assert cells_after((0, 0)) is None
 
 
 class TestGMonotonicity:
