@@ -3,7 +3,7 @@
 Exit codes: 0 for positive verdicts and successful computations, 1 for
 refutations and failed support searches, 2 for indeterminate outcomes (the
 removal enumeration exceeded --cap; certificates themselves are always
-decided), 64 for usage errors, 65 for malformed input files.
+decided), 64 for usage errors, 65 for missing, unreadable or malformed files.
 """
 
 from __future__ import annotations
@@ -222,11 +222,11 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PatternFormatError as exc:
+    except (PatternFormatError, UnicodeDecodeError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot open file: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -130,75 +130,55 @@ def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatri
     """
     if r < 1:
         raise ValueError("rank must be positive")
-    columns: list[tuple[int, ...]] = []
-    origins: list[int] = []
+    columns, origins = [], []
     for j in range(pattern.N):
-        _append_columns(columns, origins, pattern, j, r)
+        fresh = _constraint_columns(pattern.column_rows(j), r)
+        columns += fresh
+        origins += [j] * len(fresh)
     return ConstraintMatrix(pattern.d, r, tuple(columns), tuple(origins))
 
 
-def _append_columns(
-    columns: list, origins: list, pattern: SamplingPattern, j: int, r: int
-) -> None:
-    """Append data column j's constraint columns; its rows ascend, so each
-    base-plus-extra support is already sorted."""
-    rows = pattern.column_rows(j)
+def _constraint_columns(rows: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
+    """Constraint columns of a data column observed at the ascending `rows`, each sorted."""
     base = rows[:r]
-    for extra in rows[r:]:
-        columns.append(base + (extra,))
-        origins.append(j)
+    return [base + (extra,) for extra in rows[r:]]
 
 
 def rebuild_origins(
-    cm: ConstraintMatrix, pattern: SamplingPattern, touched: Iterable[int]
+    cm: ConstraintMatrix, pattern: SamplingPattern, cells: frozenset[Cell]
 ) -> ConstraintMatrix:
-    """`cm` with the constraint columns of the touched data columns rebuilt from `pattern`.
+    """`build_constraint_matrix(remove_entries(pattern, RemovalSet(cells)), cm.r)`,
+    spliced into `cm`, the matrix of `pattern`; every cell must be observed.
 
-    Equals `build_constraint_matrix(pattern, cm.r)` whenever `pattern`
-    differs from the pattern `cm` was built from only in the touched
-    columns.  Their old columns are found by bisecting the ascending origins
-    and replaced from the right, so the positions found in `cm` stay valid.
+    An empty removal returns `cm` itself.  Only the data columns the cells
+    touch are rebuilt: their old columns are found by bisecting the ascending
+    origins and replaced from the right, so the positions found stay valid.
     """
+    if not cells:
+        return cm
     columns, origins = list(cm.columns), list(cm.origins)
-    for j in sorted(set(touched), reverse=True):
-        lo = bisect_left(cm.origins, j)
-        hi = bisect_right(cm.origins, j, lo)
-        fresh_columns: list[tuple[int, ...]] = []
-        fresh_origins: list[int] = []
-        _append_columns(fresh_columns, fresh_origins, pattern, j, cm.r)
-        columns[lo:hi] = fresh_columns
-        origins[lo:hi] = fresh_origins
+    for j in sorted({j for _, j in cells}, reverse=True):
+        lo, hi = bisect_left(cm.origins, j), bisect_right(cm.origins, j)
+        # from a list, not a generator: CPython keeps the block of a freed
+        # tuple that was grown by resizing on the free list for its length,
+        # and over many removals those lists fill and raise peak RSS
+        rows = tuple([i for i in pattern.column_rows(j) if (i, j) not in cells])
+        fresh = _constraint_columns(rows, cm.r)
+        columns[lo:hi] = fresh
+        origins[lo:hi] = [j] * len(fresh)
     return ConstraintMatrix(cm.d, cm.r, tuple(columns), tuple(origins))
 
 
 def remove_entries(pattern: SamplingPattern, removal: RemovalSet) -> SamplingPattern:
     """Delete the removal cells from the pattern; every cell must be observed.
-
-    An empty removal returns the pattern itself.  Otherwise only the columns
-    the removal touches get a new row index; the others share the parent's,
-    which already passed every check `__post_init__` would repeat.
-    """
+    An empty removal returns the pattern itself."""
     cells = removal.cells
     if not cells:
         return pattern
     missing = cells - pattern.observed
     if missing:
         raise ValueError(f"removal contains unobserved cells: {sorted(missing)[:4]}")
-    rows = list(pattern._rows_by_column)
-    for j in {j for _, j in cells}:
-        # from a list, not a generator: CPython keeps the block of a freed
-        # tuple that was grown by resizing on the free list for its length,
-        # and over many removals those lists fill and raise peak RSS
-        rows[j] = tuple([i for i in rows[j] if (i, j) not in cells])
-    out = object.__new__(SamplingPattern)
-    for name, value in (
-        ("d", pattern.d),
-        ("N", pattern.N),
-        ("observed", pattern.observed - cells),
-        ("_rows_by_column", tuple(rows)),
-    ):
-        object.__setattr__(out, name, value)
-    return out
+    return SamplingPattern(pattern.d, pattern.N, pattern.observed - cells)
 
 
 def count_removals(pattern: SamplingPattern, budget: NoiseBudget, extra: int) -> int:

@@ -21,7 +21,7 @@ still valid, and the exact matroid intersection would have answered
 positive.  A failing removal is therefore always solved, and the verdict, the
 checked count, the failing removal and the reason are those of solving every
 removal.  A solved removal's constraint matrix is the unremoved pattern's
-with the columns of the data columns it touches rebuilt.
+with the columns of the data columns it touches rebuilt (`rebuild_origins`).
 
 The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
@@ -109,8 +109,7 @@ def premise_floor(r: int, budget: NoiseBudget, unique: bool) -> int:
 
 def _premise_failure(pattern: SamplingPattern, r: int, budget: NoiseBudget, unique: bool) -> str | None:
     floor = premise_floor(r, budget, unique)
-    counts = pattern.column_counts()
-    for j, l in enumerate(counts):
+    for j, l in enumerate(pattern.column_counts()):
         if l < floor:
             return f"column {j} has {l} observed entries; the premise needs at least {floor}"
     return None
@@ -156,6 +155,8 @@ def _verify(
     unique: bool,
     enumeration_cap: int,
 ) -> RobustVerdict:
+    if r < 1:
+        raise ValueError("rank must be positive")
     if enumeration_cap < 0:
         raise ValueError("enumeration cap must be non-negative")
     positive = RobustOutcome.UNIQUE if unique else RobustOutcome.FINITE
@@ -163,16 +164,12 @@ def _verify(
     if failure is not None:
         return RobustVerdict(RobustOutcome.REFUTED, reason=failure, premise_violation=True)
 
-    def certificate(cm: ConstraintMatrix) -> certify.Certificate:
-        if unique:
-            return certify.find_unique_certificate(cm, r)
-        return certify.find_finite_certificate(cm, r)
-
+    certificate = certify.find_unique_certificate if unique else certify.find_finite_certificate
     if budget.kind != GLOBAL:
         # the premise gives r < d; with a row empty, a finite witness W would
         # need r*rows(W) >= |W| + r*r = r*d while rows(W) <= d-1
         removal = _row_erasing_removal(pattern, budget.amount + 1)
-        cert = certificate(build_constraint_matrix(remove_entries(pattern, removal), r))
+        cert = certificate(build_constraint_matrix(remove_entries(pattern, removal), r), r)
         if cert.verdict != certify.Verdict.REFUTED:
             raise RuntimeError("internal error: a row-erasing removal kept a certificate")
         return RobustVerdict(
@@ -194,11 +191,8 @@ def _verify(
         checked += 1
         if any(removal.cells.isdisjoint(cells) for cells in kept):
             continue
-        cm = base
-        if removal.cells:
-            sub = remove_entries(pattern, removal)
-            cm = rebuild_origins(base, sub, (j for _, j in removal.cells))
-        cert = certificate(cm)
+        cm = rebuild_origins(base, pattern, removal.cells)
+        cert = certificate(cm, r)
         if cert.verdict == certify.Verdict.REFUTED:
             return RobustVerdict(
                 RobustOutcome.REFUTED,
@@ -332,6 +326,8 @@ def identify_noise_support(
     """
     if s < 0:
         raise ValueError("noise budget must be non-negative")
+    if not 0 <= fit_tolerance < np.inf:
+        raise ValueError("fit tolerance must be finite and non-negative")
     cells = pattern.cells()
     if not cells:
         raise ValueError("pattern has no observed cells")
@@ -346,11 +342,10 @@ def identify_noise_support(
     for size in range(s + 1):
         for cand in _holding(hitting, len(cells), size):
             passed += 1
-            dropped = {cells[k] for k in cand}
-            sub = SamplingPattern(pattern.d, pattern.N, pattern.observed - dropped)
-            fit = numeric.rank_r_fit(noisy_observations, sub, r, fit_tolerance)
+            dropped = RemovalSet(frozenset(cells[k] for k in cand))
+            fit = numeric.rank_r_fit(noisy_observations, remove_entries(pattern, dropped), r, fit_tolerance)
             if fit.admits:
-                return frozenset(dropped)
+                return dropped.cells
             best_residual = min(best_residual, fit.residual)
     raise NoSupportFoundError(
         f"no support of size <= {s} admits a rank-{r} fit at tolerance {fit_tolerance} "

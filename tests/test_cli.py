@@ -73,6 +73,18 @@ class TestVerify:
         code, _ = invoke(["verify", "--pattern", "/nonexistent.pat", "--rank", "1"])
         assert code == 65
 
+    def test_directory_path_is_data_error(self, tmp_path, capsys):
+        code, _ = invoke(["verify", "--pattern", str(tmp_path), "--rank", "1"])
+        assert code == 65
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe2 2\n0 0\n")
+        code, _ = invoke(["verify", "--pattern", str(path), "--rank", "1"])
+        assert code == 65
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_json_output_parses_and_is_deterministic(self, full_pattern_file):
         code, text1 = invoke(
             ["verify", "--pattern", full_pattern_file, "--rank", "1", "--format", "json"]
@@ -143,6 +155,12 @@ class TestSweep:
         assert text1 == text2
         assert text1.splitlines()[0] == "r,g,l_min,portion,binding,feasible,premise_ok"
 
+    def test_directory_out_is_data_error(self, tmp_path, capsys):
+        code, _ = invoke(["sweep", "--d", "60", "--N", "100", "--eps", "0.1", "--rmax", "2",
+                          "--out", str(tmp_path)])
+        assert code == 65
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestRank:
     def test_ceiling_report(self, full_pattern_file):
@@ -192,6 +210,24 @@ class TestIdentify:
         path.write_text(text)
         code, _ = invoke(["identify", "--data", str(path), "--rank", "1", "--s", "0"])
         assert code == 65
+
+    def test_non_utf8_observation_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe2 2\n0 0 1.0\n")
+        code, _ = invoke(["identify", "--data", str(path), "--rank", "1", "--s", "0"])
+        assert code == 65
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_meaningless_tolerance_is_usage_error(self, tmp_path, capsys, tol):
+        path = tmp_path / "obs.txt"
+        path.write_text("2 2\n0 0 1.0\n0 1 2.0\n1 0 3.0\n1 1 4.0\n")
+        code, text = invoke(
+            ["identify", "--data", str(path), "--rank", "1", "--s", "0", "--tol", tol]
+        )
+        assert code == 64
+        assert text == ""
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -110,8 +110,8 @@ def _random_pattern(rng, d, N):
 
 
 class TestRemovalDelta:
-    """`remove_entries` re-indexes only touched columns, and `rebuild_origins`
-    re-derives only their constraint columns; both match a rebuild from scratch."""
+    """`remove_entries` matches a fresh pattern, and `rebuild_origins` splices
+    a removal's constraint columns to match a rebuild from scratch."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_remove_entries_equals_a_fresh_pattern(self, seed):
@@ -145,8 +145,13 @@ class TestRemovalDelta:
         p = SamplingPattern.full(5, 4)
         r = 2
         sub = remove_entries(p, RemovalSet(frozenset(removal)))
-        spliced = rebuild_origins(build_constraint_matrix(p, r), sub, (j for _, j in removal))
+        spliced = rebuild_origins(build_constraint_matrix(p, r), p, frozenset(removal))
         assert spliced == build_constraint_matrix(sub, r)
+
+    def test_rebuild_origins_of_no_cells_is_the_matrix_itself(self):
+        p = SamplingPattern.full(5, 4)
+        base = build_constraint_matrix(p, 2)
+        assert rebuild_origins(base, p, frozenset()) is base
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rebuild_origins_on_random_removals(self, seed):
@@ -158,7 +163,7 @@ class TestRemovalDelta:
             for size in (1, 2, 3):
                 removal = frozenset(rng.sample(cells, min(size, len(cells))))
                 sub = remove_entries(p, RemovalSet(removal))
-                spliced = rebuild_origins(base, sub, (j for _, j in removal))
+                spliced = rebuild_origins(base, p, removal)
                 assert spliced == build_constraint_matrix(sub, r)
 
 

@@ -75,6 +75,13 @@ class TestVerifyFinite:
         assert verdict.premise_violation
         assert verdict.failing_removal is None
 
+    @pytest.mark.parametrize("verify", [verify_finite, verify_unique])
+    def test_nonpositive_rank_rejected_before_the_premise(self, verify):
+        # column 2 is empty, so a premise check would answer Refuted
+        pattern = SamplingPattern.from_cells(3, 3, [(i, j) for i in range(3) for j in range(2)])
+        with pytest.raises(ValueError, match="rank"):
+            verify(pattern, 0, NoiseBudget.global_noise(0))
+
     def test_combinatorial_refutation_carries_removal(self):
         # two columns observed only at rows {0,1}: the unique-extra structure dies
         # once the only distinguishing cell is removed
