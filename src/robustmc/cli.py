@@ -160,7 +160,8 @@ def _cmd_identify(args, out) -> int:
     try:
         support = robust.identify_noise_support(values, pattern, args.rank, args.s, args.tol)
     except robust.NoSupportFoundError as exc:
-        print(f"no-support-found: {exc}", file=out)
+        doc = {"no-support-found": str(exc), "best_residual": exc.best_residual}
+        _emit(doc, args.format, out)
         return EXIT_REFUTED
     doc = {"support": [list(c) for c in sorted(support)], "size": len(support)}
     _emit(doc, args.format, out)
@@ -177,8 +178,8 @@ def _cmd_simulate(args, out) -> int:
         out.write(f"# threshold={result.threshold} theory_capped={result.theory_l_min_capped}\n")
         return EXIT_POSITIVE
     cfg = sim.TrialConfig(args.d, args.N, args.r, args.l, budget, args.trials, args.seed, args.target)
-    outcome = sim.estimate_pass_probability(cfg)
     theory = bounds.bound_for_budget(args.d, args.r, args.eps, budget, args.N).l_min
+    outcome = sim.estimate_pass_probability(cfg)
     out.write(sim.outcomes_to_csv([(args.l, outcome)], theory))
     return EXIT_POSITIVE
 

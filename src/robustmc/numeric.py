@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -227,20 +227,20 @@ def _peel_to_rank_r(blocks: np.ndarray, threshold: float) -> np.ndarray:
     return peeled
 
 
-def _minors_through(cols: np.ndarray, peeled: np.ndarray, index: np.ndarray):
-    """The subsets of `cols` holding a column of `peeled`, in batches.
+def _minors_through(cols: np.ndarray, peeled: np.ndarray, r: int):
+    """The (r+1)-subsets of `cols` holding a column of `peeled`, in batches.
 
-    `index` holds the r-subsets of range(len(cols) - 1).  Each subset is
-    generated once, from its first peeled column, and lists that column first.
+    `peeled` is a subset of `cols`.  Each subset is generated once, from its
+    first peeled column, and lists that column first; the r others are read
+    lazily, in lexicographic order, from the columns after it in `peeled`
+    and those outside it.
     """
-    for n, p in enumerate(peeled):
-        others = cols[cols != p]
-        allowed = ~np.isin(others, peeled[:n])
-        for start in range(0, len(index), _MINOR_BATCH):
-            part = index[start : start + _MINOR_BATCH]
-            if n:
-                part = part[allowed[part].all(axis=1)]
-            yield np.column_stack([np.full(len(part), p), others[part]])
+    rest = cols.tolist()
+    for p in peeled.tolist():
+        rest.remove(p)
+        flat = chain.from_iterable(combinations(rest, r))
+        while (part := np.fromiter(islice(flat, _MINOR_BATCH * r), dtype=np.intp)).size:
+            yield np.column_stack([np.full(part.size // r, p), part.reshape(-1, r)])
 
 
 def iter_nonvanishing_minors(
@@ -266,10 +266,11 @@ def iter_nonvanishing_minors(
     or below the threshold, and determinants are taken only of the minors
     through a peeled column; a row subset that misses every noisy cell needs
     none.  Row subsets are peeled `_PEEL_BATCH` at a time and determinants
-    taken `_MINOR_BATCH` at a time, so apart from a table of the r-subsets of
-    range(n) per count n of shared columns, memory does not grow with the
-    number of minors.  Yields (rows, cols): one row subset, shape (r+1,), and the
-    flagged column subsets of one batch, shape (B, r+1), in no set order.
+    taken `_MINOR_BATCH` at a time, so beyond the d x N observations memory
+    is O(_PEEL_BATCH * r^2 * N + _MINOR_BATCH * r^2): it grows with neither
+    C(N-1, r) nor the number of minors.  Yields (rows, cols): one row subset,
+    shape (r+1,), and the flagged column subsets of one batch, shape
+    (B, r+1), in no set order.
     `needed(rows, cols)` returns which column sets, of a batch or single
     peeled columns, to decide; the minors it rejects, and those holding a
     rejected column, are skipped and not yielded.
@@ -281,7 +282,6 @@ def iter_nonvanishing_minors(
     # |det| * r^(r/2) > threshold * ||S||_F^r, free of a division by ||S||_F
     threshold = 2.0 * tolerance * float(np.linalg.norm(M))
     scale = float(r) ** (r / 2)
-    indices: dict[int, np.ndarray] = {}
     row_subsets = combinations(range(pattern.d), k)
     while chunk := list(islice(row_subsets, _PEEL_BATCH)):
         row_sets = np.array(chunk, dtype=np.intp)
@@ -290,13 +290,9 @@ def iter_nonvanishing_minors(
         for t in np.flatnonzero(peeled.any(axis=1)):
             block = M[row_sets[t]]
             cols = np.flatnonzero(shared[t])
-            if cols.size not in indices:
-                indices[cols.size] = np.array(
-                    list(combinations(range(cols.size - 1), r)), dtype=np.intp
-                ).reshape(-1, r)
             through = np.flatnonzero(peeled[t])
             through = through[needed(row_sets[t], through[:, None])]
-            for combos in _minors_through(cols, through, indices[cols.size]):
+            for combos in _minors_through(cols, through, r):
                 combos = combos[needed(row_sets[t], combos)]
                 minors = block[:, combos].transpose(1, 0, 2)
                 fro2 = np.einsum("bij,bij->b", minors, minors)

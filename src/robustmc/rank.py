@@ -66,15 +66,6 @@ class DichotomyReport:
     completion_rank: int | None
     statement: str
 
-    def to_dict(self) -> dict:
-        return {
-            "r_star": self.r_star,
-            "r_prime": self.r_prime,
-            "alternative": self.alternative,
-            "completion_rank": self.completion_rank,
-            "statement": self.statement,
-        }
-
 
 def rank_dichotomy(
     ceiling: RankCeiling, r_prime: int, completion_found: int | None = None

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from robustmc import numeric
+from robustmc import numeric, sim
 from robustmc.bounds import parse_sweep_csv
 from robustmc.cli import run
 from robustmc.pattern import NoiseBudget, SamplingPattern, serialize_pattern
@@ -202,6 +202,18 @@ class TestIdentify:
         assert code == 1
         assert "no-support-found" in text
 
+    def test_no_support_json_parses(self, tmp_path):
+        # a 2x2 matrix of rank 2 with no cell to remove: its one minor is flagged
+        path = tmp_path / "obs.txt"
+        path.write_text("2 2\n0 0 1.0\n0 1 2.0\n1 0 3.0\n1 1 5.0\n")
+        code, text = invoke(
+            ["identify", "--data", str(path), "--rank", "1", "--s", "0", "--format", "json"]
+        )
+        assert code == 1
+        doc = json.loads(text)
+        assert "no-support-found" in doc
+        assert doc["best_residual"] is None
+
     @pytest.mark.parametrize(
         "text", ["2 2\n0 0 1.0\n5 1 2.0\n", "0 2\n", "2 2\n0 0 1.0\n1 1 nan\n"]
     )
@@ -240,6 +252,17 @@ class TestSimulate:
         lines = text.strip().splitlines()
         assert lines[0] == "l,pass,trials,estimate,ci_lo,ci_hi,theory_lmin"
         assert lines[1].startswith("5,5,5,1.000000")
+
+    def test_bad_eps_rejected_before_any_trial(self, monkeypatch):
+        def no_trials(cfg):
+            raise AssertionError("trials ran before --eps was checked")
+
+        monkeypatch.setattr(sim, "estimate_pass_probability", no_trials)
+        code, _ = invoke(
+            ["simulate", "--d", "12", "--N", "60", "--r", "2", "--l", "8",
+             "--trials", "2000", "--eps", "0"]
+        )
+        assert code == 64
 
     def test_scan_mode(self):
         code, text = invoke(

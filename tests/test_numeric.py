@@ -118,12 +118,15 @@ def _all(rows, cols):
 
 
 def _flagged(values, pattern, r, tolerance):
+    """The flagged minors as a set, after checking that none is yielded twice."""
     observations = {c: float(values[c]) for c in pattern.cells()}
-    return {
+    minors = [
         (tuple(rows.tolist()), tuple(sorted(c)))
         for rows, cols in iter_nonvanishing_minors(observations, pattern, r, tolerance, _all)
         for c in cols.tolist()
-    }
+    ]
+    assert len(set(minors)) == len(minors)
+    return set(minors)
 
 
 def _noisy_partial(seed):

@@ -60,11 +60,6 @@ class TestDichotomy:
         with pytest.raises(ValueError):
             rank_dichotomy(self._ceiling(), 2, completion_found=3)
 
-    def test_report_serializes(self):
-        doc = rank_dichotomy(self._ceiling(), 2, completion_found=1).to_dict()
-        assert doc["alternative"] == "i"
-        assert doc["r_prime"] == 2
-
 
 class TestProbabilisticPremise:
     def test_delegates_to_columnwise_bound(self):

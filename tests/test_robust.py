@@ -290,13 +290,20 @@ class TestIdentify:
         assert excinfo.value.best_residual is None
         assert "vanishing-minor filter: 0)" in str(excinfo.value)
 
-    @pytest.mark.parametrize("rank,planted", [(3, 0), (2, 30)])
-    def test_far_from_rank_r_ends_early_in_bounded_memory(self, rank, planted, monkeypatch):
-        # rank-3 data, or 30 noisy cells, at r=2 and s=1: of the C(20,3)*C(60,3),
-        # about 39M, fully observed minors nearly all are flagged, and two
-        # cell-disjoint ones end the search before any candidate is fitted
+    @pytest.mark.parametrize(
+        "d,N,rank,r,planted",
+        [(20, 60, 3, 2, 0), (20, 60, 2, 2, 30), (20, 120, 4, 3, 0)],
+        ids=["3-0", "2-30", "4-0"],
+    )
+    def test_far_from_rank_r_ends_early_in_bounded_memory(
+        self, d, N, rank, r, planted, monkeypatch
+    ):
+        # data of rank r+1, or 30 noisy cells, at s=1: of the millions of fully
+        # observed minors nearly all are flagged, and two cell-disjoint ones end
+        # the search before any candidate is fitted; no table of the C(N-1, r)
+        # column subsets is built on the way (ids: data rank, planted cells)
         inst = numeric.generate_instance(
-            20, 60, rank, NoiseBudget.global_noise(planted), planted=True, seed=7
+            d, N, rank, NoiseBudget.global_noise(planted), planted=True, seed=7
         )
         read = []
         stream = numeric.iter_nonvanishing_minors
@@ -310,7 +317,7 @@ class TestIdentify:
         tracemalloc.start()
         try:
             with pytest.raises(NoSupportFoundError) as excinfo:
-                identify_noise_support(inst.observations(), inst.pattern, 2, 1, 1e-6)
+                identify_noise_support(inst.observations(), inst.pattern, r, 1, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
