@@ -36,8 +36,9 @@ search also yields the column's fundamental circuit.  Found witnesses are
 re-checked by two validators that share no code with the game: `min_slack`
 computes the minimum exactly by a project-selection min-cut (selecting a
 column earns 1, every covered row costs k, and the empty set is excluded by
-forcing one anchor column at a time), and `min_slack_exhaustive` enumerates
-every subset of up to 22 columns, vectorised.
+forcing one anchor column at a time), found as a max-flow that routes each
+column into one of its rows; `min_slack_exhaustive` enumerates every subset
+of up to 22 columns, vectorised.
 """
 
 from __future__ import annotations
@@ -111,93 +112,65 @@ class Certificate:
         return doc
 
 
-def _max_flow(adj: list[list[list[int]]], source: int, sink: int) -> int:
-    """Edmonds-Karp on an adjacency list of [to, capacity, reverse_index] edges."""
-    flow = 0
-    n = len(adj)
-    while True:
-        parent_edge: list[tuple[int, int] | None] = [None] * n
-        parent_edge[source] = (source, -1)
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
-                break
-            for ei, (v, cap, _rev) in enumerate(adj[u]):
-                if cap > 0 and parent_edge[v] is None:
-                    parent_edge[v] = (u, ei)
-                    queue.append(v)
-        if parent_edge[sink] is None:
-            return flow
-        bottleneck = None
-        v = sink
-        while v != source:
-            u, ei = parent_edge[v]
-            cap = adj[u][ei][1]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = sink
-        while v != source:
-            u, ei = parent_edge[v]
-            edge = adj[u][ei]
-            edge[1] -= bottleneck
-            adj[edge[0]][edge[2]][1] += bottleneck
-            v = u
-        flow += bottleneck
-
-
-def _slack_network(columns_rows: Sequence[tuple[int, ...]], k: int) -> tuple[list[list[list[int]]], int, int]:
-    """Project-selection network of the columns: (adjacency, sink, infinite capacity).
-
-    Node 0 is the source, 1..n the columns, then one node per used row, then
-    the sink.  Source->column edges carry capacity 1 (the source's i-th edge
-    goes to column i), column->row edges are uncuttable, row->sink edges
-    carry k.  A cut's value is the number of unselected columns plus k times
-    the rows the selected columns cover.
-    """
-    n = len(columns_rows)
-    used_rows = sorted({row for rows in columns_rows for row in rows})
-    row_node = {row: n + 1 + pos for pos, row in enumerate(used_rows)}
-    sink = n + 1 + len(used_rows)
-    inf = n + k * len(used_rows) + 1
-
-    adj: list[list[list[int]]] = [[] for _ in range(sink + 1)]
-
-    def add_edge(u: int, v: int, cap: int):
-        adj[u].append([v, cap, len(adj[v])])
-        adj[v].append([u, 0, len(adj[u]) - 1])
-
-    for idx, rows in enumerate(columns_rows):
-        add_edge(0, idx + 1, 1)
-        for row in rows:
-            add_edge(idx + 1, row_node[row], inf)
-    for row in used_rows:
-        add_edge(row_node[row], sink, k)
-    return adj, sink, inf
-
-
 def min_slack(cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition) -> int:
     """Exact minimum of k*rows(S) - |S| - k*r over nonempty S within the subset.
 
-    One Edmonds-Karp solves the unanchored network.  Forcing an anchor column
-    into S raises its source edge to infinite capacity; its minimum cut is
-    that flow plus the augmentations the raise allows, found on a copy of the
-    residual graph, and the anchored minimum is mincut - n - k*r.
+    A max-flow on the network source -> column (capacity 1) -> its r+1 rows
+    -> sink (capacity k): its minimum cut is n - |S| + k*rows(S) at the best
+    S.  A flow routes each column into one of its rows, at most k per row,
+    and a path alternates column -> row and full row -> a column routed into
+    it until it ends at a row below k.  The base flow routes the columns one
+    at a time.  Forcing an anchor column into S makes its source edge
+    infinite, so the anchor pushes until no path is left.  A column the base
+    flow could not route never finds a path later (Kuhn's argument: paths
+    from other sources, here the anchor's extra units, open none for it), so
+    the anchor is the only source.  The anchored minimum is the base flow
+    plus the anchor's units, minus n + k*r, and the base routing is restored
+    for the next anchor.
     """
     if not subset:
         raise ValueError("subset must be non-empty")
-    columns_rows = [cm.columns[i] for i in subset]
-    n = len(columns_rows)
-    adj, sink, inf = _slack_network(columns_rows, cond.k)
-    base = _max_flow(adj, 0, sink)
-    best = None
+    k, n = cond.k, len(subset)
+    columns = [cm.columns[i] for i in subset]
+    load = [0] * cm.d
+    routed: list[list[int]] = [[] for _ in range(cm.d)]  # columns by the row they are routed into
+
+    def push(source: int) -> bool:
+        """Route one more unit of the source along a shortest path, if there is one."""
+        parent = [-2] * n  # the row a column was reached from; -1 at the source, -2 unreached
+        parent[source] = -1
+        reached = [-1] * cm.d  # the column a row was reached from
+        queue = [source]
+        for column in queue:
+            for row in columns[column]:
+                if reached[row] >= 0:
+                    continue
+                reached[row] = column
+                if load[row] < k:
+                    load[row] += 1
+                    while (previous := parent[column]) >= 0:
+                        routed[row].append(column)
+                        routed[previous].remove(column)
+                        row, column = previous, reached[previous]
+                    routed[row].append(column)
+                    return True
+                for moved in routed[row]:
+                    if parent[moved] == -2:
+                        parent[moved] = row
+                        queue.append(moved)
+        return False
+
+    base = sum(map(push, range(n)))
+    base_load, base_routed = load[:], [members[:] for members in routed]
+    fewest = None  # units the weakest anchor adds
     for anchor in range(n):
-        residual = [[edge[:] for edge in edges] for edges in adj]
-        residual[0][anchor][1] += inf - 1
-        value = base + _max_flow(residual, 0, sink) - n - cond.k * cond.r
-        if best is None or value < best:
-            best = value
-    return best
+        pushed = 0
+        while push(anchor):
+            pushed += 1
+        fewest = pushed if fewest is None else min(fewest, pushed)
+        load[:] = base_load
+        routed[:] = [members[:] for members in base_routed]
+    return base + fewest - n - k * cond.r
 
 
 # the enumeration oracle runs over blocks of 2**12 subsets

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -70,8 +71,7 @@ def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
     """Exactly l distinct observed rows per column, uniform."""
     cells = []
     for j in range(N):
-        rows = rng.choice(d, size=l, replace=False)
-        cells.extend((int(i), j) for i in rows)
+        cells += zip(rng.choice(d, size=l, replace=False).tolist(), repeat(j))
     return SamplingPattern(d, N, frozenset(cells))
 
 

@@ -20,6 +20,7 @@ from robustmc.certify import (
 )
 from robustmc.pattern import NoiseBudget, SamplingPattern, build_constraint_matrix
 from robustmc.robust import RobustOutcome, verify_finite
+from robustmc.sim import sample_pattern
 
 
 def random_candidate(rng, max_d=8, max_cols=12):
@@ -64,6 +65,43 @@ class TestMinSlack:
             cm, subset, r = random_candidate(rng)
             for cond in (CountCondition.finite(r), CountCondition.unique(r)):
                 assert min_slack(cm, subset, cond) == min_slack_exhaustive(cm, subset, cond)
+
+    @pytest.mark.parametrize("size", range(13, 21))
+    def test_agrees_with_exhaustive_oracle_on_wide_subsets(self, size):
+        # most data columns repeat one of three row sets, so their constraint
+        # columns share rows and some cannot be routed by the base flow
+        rng = random.Random(100 + size)
+        crowded = 0
+        for _ in range(4):
+            r = rng.randint(1, 3)
+            d = rng.randint(r + 2, 8)
+            shared = [rng.sample(range(d), rng.randint(r + 2, d)) for _ in range(3)]
+            cells = [
+                (i, j)
+                for j in range(16)
+                for i in (rng.choice(shared) if rng.random() < 0.7 else rng.sample(range(d), rng.randint(r + 1, d)))
+            ]
+            cm = build_constraint_matrix(SamplingPattern.from_cells(d, 16, cells), r)
+            subset = rng.sample(range(len(cm)), size)
+            for cond in (CountCondition.finite(r), CountCondition.unique(r)):
+                expected = min_slack_exhaustive(cm, subset, cond)
+                assert min_slack(cm, subset, cond) == expected
+                # below -k*r some S has k*rows(S) < |S|: a column left unrouted
+                crowded += expected < -cond.k * r
+        assert crowded > 0
+
+    def test_research_scale_witness_is_a_basis(self):
+        # d=32, N=93, l=12, r=3: the finite witness has 3*29 = 87 columns, the
+        # count matroid's rank, so it is tight and any further column breaks it
+        pattern = sample_pattern(32, 93, 12, np.random.default_rng(0))
+        cm = build_constraint_matrix(pattern, 3)
+        cond = CountCondition.finite(3)
+        witness = find_finite_certificate(cm, 3).finite_witness
+        assert len(witness) == 87
+        assert min_slack(cm, witness, cond) == 0
+        outside = [c for c in range(len(cm)) if c not in witness]
+        for c in outside[:: len(outside) // 10][:10]:
+            assert min_slack(cm, [*witness, c], cond) < 0
 
     def test_monotone_nonincreasing_under_added_columns(self):
         rng = random.Random(7)

@@ -80,6 +80,17 @@ class TestEstimate:
         pattern = sample_pattern(7, 5, 3, np.random.default_rng(3))
         assert pattern.column_counts() == [3] * 5
 
+    def test_sampling_stream_is_pinned(self):
+        # one rng.choice per column; any change to the draws changes every
+        # simulate result, so it must show here first
+        import numpy as np
+
+        pattern = sample_pattern(6, 4, 3, np.random.default_rng(0))
+        assert sorted(pattern.observed) == [
+            (0, 1), (2, 2), (2, 3), (3, 0), (3, 2), (3, 3),
+            (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 3),
+        ]
+
 
 class TestThreshold:
     def test_threshold_at_most_full_observation(self):
