@@ -32,19 +32,31 @@ at least r observed cells (see `find_finite_certificate`).
 
 The intersection asks the count matroid through the (k, k*r) pebble game on
 the rows, kept incrementally as columns enter and leave; a failed pebble
-search also yields the column's fundamental circuit.  Found witnesses are
-re-checked by two validators that share no code with the game: `min_slack`
-computes the minimum exactly by a project-selection min-cut (selecting a
-column earns 1, every covered row costs k, and the empty set is excluded by
-forcing one anchor column at a time), found as a max-flow that routes each
-column into one of its rows; `min_slack_exhaustive` enumerates every subset
-of up to 22 columns, vectorised.
+search also yields the column's fundamental circuit.  A search can start
+warm from another certificate's witnesses (`warm_from`): the witness
+columns the matrix still has enter the games pinned, each on the tail row
+that covered it.  That is a valid pebble state: the pebble game's proofs use
+only that the members are (k, k*r)-sparse and each is covered from one of
+its own rows, at most k per row, which a witness's pebble state satisfies
+and which dropping members keeps.  The pinned columns are also
+origin-distinct, so they are a common independent set, from which
+augmenting-path intersection is exact (Cunningham, 1986); warm and cold
+searches give the same verdict, though not always the same witness.
+
+Found witnesses are re-checked by two validators that share no code with
+the game: `min_slack` computes the minimum exactly by a project-selection
+min-cut (selecting a column earns 1, every covered row costs k, and the
+empty set is excluded by forcing one anchor column at a time), found as a
+max-flow that routes each column into one of its rows;
+`min_slack_exhaustive` enumerates every subset of up to 22 columns,
+vectorised.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -91,6 +103,9 @@ class Certificate:
     unique_witness: tuple[int, ...] | None = None
     refutation: dict | None = None
     note: str = ""
+    # where the search left the witnesses, read only by `warm_from`: the
+    # matrix's d, then per witness each column's (origin, rows, tail row)
+    _pebbles: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self, cm: ConstraintMatrix) -> dict:
         doc: dict = {"verdict": self.verdict.value, "rank": self.r, "note": self.note}
@@ -309,7 +324,14 @@ class _PebbleGame:
     def add(self, column: int) -> None:
         if self._gather(self.columns[column]) is not None:
             raise RuntimeError("internal error: dependent column added to a pebble game")
-        row = next(v for v in self.columns[column] if self.free[v])
+        self.pin(column, next(v for v in self.columns[column] if self.free[v]))
+
+    def pin(self, column: int, row: int) -> None:
+        """Make the column a member covered from `row`, one of its rows, without a search.
+
+        Sound only while the members stay (k, k*r)-sparse and no row covers
+        more than k of them.
+        """
         self.free[row] -= 1
         self.covers[row].append(column)
         self.tail[column] = row
@@ -321,9 +343,12 @@ class _PebbleGame:
 
 
 def _max_rainbow_witnesses(
-    cm: ConstraintMatrix, parts: Sequence[tuple[CountCondition, int]]
-) -> tuple[tuple[int, ...], ...] | None:
-    """Origin-distinct witnesses, one per (condition, size) part, or None if none exist.
+    cm: ConstraintMatrix,
+    parts: Sequence[tuple[CountCondition, int]],
+    pinned: Sequence[Sequence[tuple[int, int]]] = (),
+) -> tuple[dict[int, int], ...] | None:
+    """Origin-distinct witnesses, one per (condition, size) part, each as its
+    pebble game's {column: tail row}, or None if none exist.
 
     Matroid intersection over one copy of the constraint columns per part.
     The first matroid is the direct sum of the parts' count matroids (a
@@ -345,6 +370,11 @@ def _max_rainbow_witnesses(
     copy already holding its size starts no path.  Shortest paths
     (multi-source BFS) keep every intermediate set common independent.
     Deterministic: copies in order, columns in canonical order within a copy.
+
+    `pinned` holds, per part, (column, tail row) pairs of a common
+    independent set at most the part's size, each tail one of its column's
+    rows and at most k per row; they enter the games as they are, before the
+    greedy seed.  Augmentation is exact from any common independent set.
     """
     n = len(cm)
     caps = [cap for _, cap in parts]
@@ -352,10 +382,16 @@ def _max_rainbow_witnesses(
     games = [_PebbleGame(cm, cond) for cond, _ in parts]
     # element e is column e % n in copy e // n
     in_set = [False] * (n * len(parts))
-    members: list[list[int]] = [[] for _ in parts]
+    members = [game.tail for game in games]  # the games' own {member: tail row} maps
+
+    used_origins: set[int] = set()
+    for p, start in enumerate(pinned):
+        for c, row in start:
+            games[p].pin(c, row)
+            in_set[p * n + c] = True
+            used_origins.add(cm.origins[c])
 
     # greedy seed: each copy in canonical order until it holds its size
-    used_origins: set[int] = set()
     for p, game in enumerate(games):
         for c in range(n):
             if len(members[p]) == caps[p]:
@@ -364,7 +400,6 @@ def _max_rainbow_witnesses(
                 continue
             if game.probe(c) is None:
                 game.add(c)
-                members[p].append(c)
                 in_set[p * n + c] = True
                 used_origins.add(cm.origins[c])
 
@@ -430,26 +465,59 @@ def _max_rainbow_witnesses(
             node = parent[node]
         for node in entering:
             games[node // n].add(node % n)
-        members = [[c for c in range(n) if in_set[p * n + c]] for p in range(len(parts))]
 
-    return tuple(map(tuple, members))
+    return tuple(members)
 
 
-def _certificate(cm: ConstraintMatrix, r: int, unique: bool) -> Certificate:
+def _pinned(
+    cm: ConstraintMatrix, warm_from: Certificate, positive: Verdict
+) -> list[list[tuple[int, int]]]:
+    """Per witness of `warm_from`, its columns that are constraint columns of
+    `cm`, found by origin and rows, each with the tail row it had.
+
+    Dropping members is a legal pebble-game move, so these columns keep
+    distinct origins, stay (k, k*r)-sparse and stay covered from rows of
+    their own, at most k per row: a pebble state of a common independent set.
+    """
+    if warm_from.verdict != positive:
+        raise ValueError(
+            f"warm_from is a {warm_from.verdict.value} certificate, not a {positive.value} one"
+        )
+    if warm_from.r != cm.r:
+        raise ValueError(f"warm_from has rank {warm_from.r}, not {cm.r}")
+    if warm_from._pebbles is None or warm_from._pebbles[0] != cm.d:
+        raise ValueError(f"warm_from was not found on a constraint matrix of {cm.d} rows")
+    pinned = []
+    for witness in warm_from._pebbles[1]:
+        start = []
+        for origin, rows, tail in witness:
+            for c in range(bisect_left(cm.origins, origin), bisect_right(cm.origins, origin)):
+                if cm.columns[c] == rows:
+                    start.append((c, tail))
+                    break
+        pinned.append(start)
+    return pinned
+
+
+def _certificate(
+    cm: ConstraintMatrix, r: int, unique: bool, warm_from: Certificate | None
+) -> Certificate:
     """Origin-distinct witnesses: r*(d-r) columns at k=r, plus d-r more at k=1 if unique.
 
     Decided exactly by one matroid intersection with one copy of the columns
     per witness (see `_max_rainbow_witnesses`), so the verdict is always
-    positive or Refuted.
+    positive or Refuted, warm or cold.
     """
     if r != cm.r:
         raise ValueError("constraint matrix was built with a different rank")
     positive = Verdict.UNIQUE if unique else Verdict.FINITE
+    pinned = () if warm_from is None else _pinned(cm, warm_from, positive)
     parts = [(CountCondition.finite(r), r * (cm.d - r))]
     if unique:
         parts.append((CountCondition.unique(r), cm.d - r))
     if parts[0][1] <= 0:
-        return Certificate(positive, r, *(() for _ in parts))
+        empty = tuple(() for _ in parts)
+        return Certificate(positive, r, *empty, _pebbles=(cm.d, empty))
     required = sum(size for _, size in parts)
     available = len(set(cm.origins))
     if available < required:
@@ -463,7 +531,7 @@ def _certificate(cm: ConstraintMatrix, r: int, unique: bool) -> Certificate:
                 else "fewer source columns with constraint columns than the witness needs"
             ),
         )
-    found = _max_rainbow_witnesses(cm, parts)
+    found = _max_rainbow_witnesses(cm, parts, pinned)
     if found is None:
         return Certificate(
             Verdict.REFUTED,
@@ -475,14 +543,26 @@ def _certificate(cm: ConstraintMatrix, r: int, unique: bool) -> Certificate:
                 else "matroid intersection proves no witness of the required size exists"
             ),
         )
-    for witness, (cond, _) in zip(found, parts):
+    witnesses = [tuple(sorted(tails)) for tails in found]
+    for witness, (cond, _) in zip(witnesses, parts):
         if not validate_witness(cm, witness, cond):
             raise RuntimeError("internal error: witness failed independent validation")
-    return Certificate(positive, r, *found)
+    pebbles = tuple(
+        tuple((cm.origins[c], cm.columns[c], tails[c]) for c in witness)
+        for witness, tails in zip(witnesses, found)
+    )
+    return Certificate(positive, r, *witnesses, _pebbles=(cm.d, pebbles))
 
 
-def find_finite_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
+def find_finite_certificate(
+    cm: ConstraintMatrix, r: int, warm_from: Certificate | None = None
+) -> Certificate:
     """Finite or Refuted: one origin-distinct witness of r*(d-r) columns at k=r.
+
+    `warm_from`, a Finite certificate of the same rank and d (typically of a
+    matrix differing in a few columns), starts the search from its witness
+    columns that `cm` still has; the verdict is that of a cold search, and
+    another kind, rank or d raises ValueError.
 
     Precondition: every data column has at least r observed cells.  A column
     with fewer has infinitely many completions but adds no constraint
@@ -490,9 +570,14 @@ def find_finite_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
     columns and one empty column gets Finite at r=1.  `robust.verify_finite`
     refutes such patterns by its premise floor.
     """
-    return _certificate(cm, r, unique=False)
+    return _certificate(cm, r, False, warm_from)
 
 
-def find_unique_certificate(cm: ConstraintMatrix, r: int) -> Certificate:
-    """Unique or Refuted: origin-disjoint witnesses of r*(d-r) columns at k=r and d-r at k=1."""
-    return _certificate(cm, r, unique=True)
+def find_unique_certificate(
+    cm: ConstraintMatrix, r: int, warm_from: Certificate | None = None
+) -> Certificate:
+    """Unique or Refuted: origin-disjoint witnesses of r*(d-r) columns at k=r and d-r at k=1.
+
+    `warm_from` is a Unique certificate, as for `find_finite_certificate`.
+    """
+    return _certificate(cm, r, True, warm_from)

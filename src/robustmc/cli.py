@@ -135,6 +135,10 @@ def _cmd_sweep(args, out) -> int:
         g_values = [int(g) for g in args.g_list.split(",") if g.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --g-list {args.g_list!r}") from exc
+    if args.rmax < 1:
+        raise UsageError(f"--rmax must be at least 1, got {args.rmax}")
+    if not g_values:
+        raise UsageError("--g-list names no noise level")
     rows = bounds.sweep(args.d, args.N, args.eps, range(1, args.rmax + 1), g_values)
     csv = bounds.sweep_to_csv(rows)
     if args.out:

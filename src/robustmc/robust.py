@@ -21,7 +21,9 @@ still valid, and the exact matroid intersection would have answered
 positive.  A failing removal is therefore always solved, and the verdict, the
 checked count, the failing removal and the reason are those of solving every
 removal.  A solved removal's constraint matrix is the unremoved pattern's
-with the columns of the data columns it touches rebuilt (`rebuild_origins`).
+with the columns of the data columns it touches rebuilt (`rebuild_origins`),
+and its search starts warm from the previous positive certificate
+(`certify`'s `warm_from`), which changes witnesses but never verdicts.
 
 The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
@@ -186,13 +188,14 @@ def _verify(
 
     base = build_constraint_matrix(pattern, r)
     kept: list[frozenset[Cell]] = []  # cells of witnesses valid in `pattern`, most recent first
+    last = None  # the latest positive certificate, which starts the next search
     checked = 0
     for removal in enumerate_removals(pattern, budget, extra):
         checked += 1
         if any(removal.cells.isdisjoint(cells) for cells in kept):
             continue
         cm = rebuild_origins(base, pattern, removal.cells)
-        cert = certificate(cm, r)
+        cert = certificate(cm, r, warm_from=last)
         if cert.verdict == certify.Verdict.REFUTED:
             return RobustVerdict(
                 RobustOutcome.REFUTED,
@@ -200,6 +203,7 @@ def _verify(
                 failing_removal=removal,
                 reason=cert.note,
             )
+        last = cert
         cells = _witness_cells(pattern, cm, cert)
         if cells is not None:
             kept.insert(0, cells)

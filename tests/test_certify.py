@@ -18,7 +18,8 @@ from robustmc.certify import (
     min_slack_exhaustive,
     validate_witness,
 )
-from robustmc.pattern import NoiseBudget, SamplingPattern, build_constraint_matrix
+from robustmc import certify
+from robustmc.pattern import NoiseBudget, SamplingPattern, build_constraint_matrix, rebuild_origins
 from robustmc.robust import RobustOutcome, verify_finite
 from robustmc.sim import sample_pattern
 
@@ -204,6 +205,83 @@ class TestUniqueCertificate:
         assert doc["unique_witness"]["min_slack"] >= 0
         for entry in doc["finite_witness"]["columns"]:
             assert set(entry) == {"column", "origin", "rows"}
+
+
+class TestWarmStart:
+    """A search started from another certificate's pebble state decides like a cold one."""
+
+    def test_matches_cold_search(self, monkeypatch):
+        # seeded patterns (d <= 8, r <= 3) with about as many data columns as
+        # the witnesses need origins, so both verdicts occur; removals of 1-2
+        # cells are solved warm from the latest positive warm certificate, as
+        # robust verification does, and cold
+        flips = [0]  # members leaving a game, which only an augmenting path does
+        remove = _PebbleGame.remove
+
+        def counted(game, column):
+            flips[0] += 1
+            remove(game, column)
+
+        monkeypatch.setattr(_PebbleGame, "remove", counted)
+        rng = random.Random(41)
+        verdicts, augmented = [], 0
+        for case in range(60):
+            unique = case % 2 == 1
+            d = rng.randint(3, 8)
+            r = rng.randint(1, min(3, d - 1))
+            origins = r * (d - r) + (d - r if unique else 0)
+            N = rng.randint(origins, origins + 6)
+            cells = [(i, j) for j in range(N) for i in rng.sample(range(d), rng.randint(r + 1, d))]
+            pattern = SamplingPattern.from_cells(d, N, cells)
+            find = find_unique_certificate if unique else find_finite_certificate
+            base = build_constraint_matrix(pattern, r)
+            previous = None
+            for _ in range(20):
+                removal = frozenset(rng.sample(cells, rng.randint(1, min(2, len(cells)))))
+                cm = rebuild_origins(base, pattern, removal)
+                cold = find(cm, r)
+                before = flips[0]
+                warm = find(cm, r, warm_from=previous)
+                augmented += previous is not None and flips[0] > before
+                assert warm.verdict == cold.verdict
+                verdicts.append(warm.verdict)
+                if warm.verdict == Verdict.REFUTED:
+                    assert warm.refutation == cold.refutation
+                    continue
+                conds = (CountCondition.finite(r), CountCondition.unique(r))
+                witnesses = (warm.finite_witness, warm.unique_witness)[: 1 + unique]
+                used = [cm.origins[c] for witness in witnesses for c in witness]
+                assert len(used) == len(set(used))
+                for witness, cond, size in zip(witnesses, conds, (r * (d - r), d - r)):
+                    assert len(witness) == size
+                    assert min_slack_exhaustive(cm, witness, cond) >= 0
+                previous = warm
+        assert augmented > 0
+        assert {Verdict.FINITE, Verdict.UNIQUE, Verdict.REFUTED} <= set(verdicts)
+
+    def test_rejects_another_rank_kind_or_height(self):
+        cm = build_constraint_matrix(SamplingPattern.full(5, 12), 2)
+        finite, unique = find_finite_certificate(cm, 2), find_unique_certificate(cm, 2)
+        assert find_finite_certificate(cm, 2, warm_from=finite) == finite
+        assert find_unique_certificate(cm, 2, warm_from=unique) == unique
+        other_rank = build_constraint_matrix(SamplingPattern.full(5, 12), 1)
+        with pytest.raises(ValueError, match="rank"):
+            find_finite_certificate(other_rank, 1, warm_from=finite)
+        with pytest.raises(ValueError, match="Unique"):
+            find_finite_certificate(cm, 2, warm_from=unique)
+        with pytest.raises(ValueError, match="Finite"):
+            find_unique_certificate(cm, 2, warm_from=finite)
+        taller = build_constraint_matrix(SamplingPattern.full(6, 12), 2)
+        with pytest.raises(ValueError, match="rows"):
+            find_finite_certificate(taller, 2, warm_from=finite)
+
+    def test_pebble_state_stays_private(self):
+        cm = build_constraint_matrix(SamplingPattern.full(4, 6), 2)
+        cert = find_finite_certificate(cm, 2)
+        assert cert._pebbles is not None
+        assert "_pebbles" not in repr(cert)
+        assert "_pebbles" not in json.dumps(cert.to_dict(cm))
+        assert cert == certify.Certificate(Verdict.FINITE, 2, cert.finite_witness)
 
 
 class TestBruteForceAgreement:

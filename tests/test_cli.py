@@ -161,6 +161,15 @@ class TestSweep:
         assert code == 65
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--rmax", "0"], ["--rmax", "-2"], ["--rmax", "3", "--g-list", ""],
+                                       ["--rmax", "3", "--g-list", ","]])
+    def test_empty_sweep_is_usage_error(self, extra, capsys):
+        # a sweep with no rank or no noise level would print only the header
+        code, text = invoke(["sweep", "--d", "60", "--N", "100", "--eps", "0.1", *extra])
+        assert code == 64
+        assert text == ""
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestRank:
     def test_ceiling_report(self, full_pattern_file):

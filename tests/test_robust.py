@@ -200,9 +200,9 @@ class TestWitnessFilter:
         calls = [0]
 
         def counted(original):
-            def certificate(cm, r):
+            def certificate(cm, r, warm_from=None):
                 calls[0] += 1
-                return original(cm, r)
+                return original(cm, r, warm_from)
 
             return certificate
 
