@@ -43,13 +43,12 @@ origin-distinct, so they are a common independent set, from which
 augmenting-path intersection is exact (Cunningham, 1986); warm and cold
 searches give the same verdict, though not always the same witness.
 
-Found witnesses are re-checked by two validators that share no code with
-the game: `min_slack` computes the minimum exactly by a project-selection
-min-cut (selecting a column earns 1, every covered row costs k, and the
-empty set is excluded by forcing one anchor column at a time), found as a
-max-flow that routes each column into one of its rows;
-`min_slack_exhaustive` enumerates every subset of up to 22 columns,
-vectorised.
+Every found witness is re-checked by `validate_witness`, which shares no
+code with the game: `min_slack`'s exact project-selection min-cut
+(selecting a column earns 1, every covered row costs k, and S's last
+column is forced in to exclude the empty set), one max-flow grown over the
+witness's prefixes.  `min_slack_exhaustive`, a vectorised enumeration of
+every subset of up to 22 columns, is the min-cut's reference in the tests.
 """
 
 from __future__ import annotations
@@ -128,23 +127,29 @@ class Certificate:
 
 
 def min_slack(cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition) -> int:
-    """Exact minimum of k*rows(S) - |S| - k*r over nonempty S within the subset.
-
-    A max-flow on the network source -> column (capacity 1) -> its r+1 rows
-    -> sink (capacity k): its minimum cut is n - |S| + k*rows(S) at the best
-    S.  A flow routes each column into one of its rows, at most k per row,
-    and a path alternates column -> row and full row -> a column routed into
-    it until it ends at a row below k.  The base flow routes the columns one
-    at a time.  Forcing an anchor column into S makes its source edge
-    infinite, so the anchor pushes until no path is left.  A column the base
-    flow could not route never finds a path later (Kuhn's argument: paths
-    from other sources, here the anchor's extra units, open none for it), so
-    the anchor is the only source.  The anchored minimum is the base flow
-    plus the anchor's units, minus n + k*r, and the base routing is restored
-    for the next anchor.
-    """
+    """Exact minimum of k*rows(S) - |S| - k*r over nonempty S within the subset."""
     if not subset:
         raise ValueError("subset must be non-empty")
+    return _prefix_scan(cm, subset, cond, None)
+
+
+def _prefix_scan(cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition, floor: int | None) -> int:
+    """`min_slack` by one max-flow grown over the subset's prefixes.
+
+    The network source -> column (capacity 1) -> its r+1 rows -> sink
+    (capacity k) has minimum cut n - |S| + k*rows(S) at the best S.  A flow
+    routes each column into one of its rows, at most k per row; a path
+    alternates column -> row and full row -> a column routed into it until it
+    ends at a row below k.  Each column in turn is the anchor, the last column
+    of S: forced into S, its source edge is infinite, so from a max flow of
+    the columns before it, it pushes until no path is left, and that flow plus
+    its units, minus anchor+1 + k*r, is the minimum over the S ending at it.
+    A column the flow could not route never finds a path later (Kuhn's
+    argument: paths from other sources open none for it).  One column raises a
+    max flow by at most 1, so giving back all but one of the anchor's units
+    leaves a max flow for the next anchor.  With a floor, an anchor stops once
+    its value reaches it, and the first value below it is returned.
+    """
     k, n = cond.k, len(subset)
     columns = [cm.columns[i] for i in subset]
     load = [0] * cm.d
@@ -175,17 +180,26 @@ def min_slack(cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition)
                         queue.append(moved)
         return False
 
-    base = sum(map(push, range(n)))
-    base_load, base_routed = load[:], [members[:] for members in routed]
-    fewest = None  # units the weakest anchor adds
+    flow, lowest = 0, k  # every single column has value k - 1
     for anchor in range(n):
-        pushed = 0
-        while push(anchor):
-            pushed += 1
-        fewest = pushed if fewest is None else min(fewest, pushed)
-        load[:] = base_load
-        routed[:] = [members[:] for members in base_routed]
-    return base + fewest - n - k * cond.r
+        value = start = flow - anchor - 1 - k * cond.r  # before the anchor's first unit
+        for row in columns[anchor]:  # paths of one edge, without a search
+            while load[row] < k and (floor is None or value < floor):
+                load[row] += 1
+                routed[row].append(anchor)
+                value += 1
+        while (floor is None or value < floor) and push(anchor):
+            value += 1
+        if floor is not None and value < floor:
+            return value
+        lowest = min(lowest, value)
+        flow += value > start
+        for row in columns[anchor]:  # give back all but one of its units
+            while value > start + 1 and anchor in routed[row]:
+                routed[row].remove(anchor)
+                load[row] -= 1
+                value -= 1
+    return lowest
 
 
 # the enumeration oracle runs over blocks of 2**12 subsets
@@ -237,17 +251,13 @@ def min_slack_exhaustive(cm: ConstraintMatrix, subset: Sequence[int], cond: Coun
 def validate_witness(cm: ConstraintMatrix, witness: Sequence[int], cond: CountCondition) -> bool:
     """Independent re-check of a witness: origin-distinct and nonnegative slack.
 
-    Uses the enumeration oracle whenever the witness is small enough to afford
-    it, the min-cut checker otherwise.
+    Every witness goes through the prefix-scan max-flow, which stops at the
+    first negative slack; the enumeration oracle is a test reference only.
     """
     origins = [cm.origins[i] for i in witness]
     if len(set(origins)) != len(origins):
         return False
-    if not witness:
-        return True
-    if len(witness) <= 12:
-        return min_slack_exhaustive(cm, witness, cond) >= 0
-    return min_slack(cm, witness, cond) >= 0
+    return not witness or _prefix_scan(cm, witness, cond, 0) >= 0
 
 
 class _PebbleGame:

@@ -87,6 +87,7 @@ class TestMinSlack:
             for cond in (CountCondition.finite(r), CountCondition.unique(r)):
                 expected = min_slack_exhaustive(cm, subset, cond)
                 assert min_slack(cm, subset, cond) == expected
+                assert min_slack(cm, subset[::-1], cond) == expected  # the scan order does not matter
                 # below -k*r some S has k*rows(S) < |S|: a column left unrouted
                 crowded += expected < -cond.k * r
         assert crowded > 0
@@ -103,6 +104,11 @@ class TestMinSlack:
         outside = [c for c in range(len(cm)) if c not in witness]
         for c in outside[:: len(outside) // 10][:10]:
             assert min_slack(cm, [*witness, c], cond) < 0
+        # a column from an origin the witness leaves unused breaks only the slack
+        assert validate_witness(cm, witness, cond)
+        used = {cm.origins[c] for c in witness}
+        extra = next(c for c in outside if cm.origins[c] not in used)
+        assert not validate_witness(cm, [*witness, extra], cond)
 
     def test_monotone_nonincreasing_under_added_columns(self):
         rng = random.Random(7)
@@ -122,6 +128,34 @@ class TestMinSlack:
     def test_condition_denominator_restricted(self):
         with pytest.raises(ValueError):
             CountCondition(3, 2)
+
+
+class TestValidateWitness:
+    """validate_witness accepts exactly the origin-distinct subsets of nonnegative slack."""
+
+    def test_agrees_with_exhaustive_oracle(self):
+        # half the subsets take one column per origin, so their rejections
+        # come from the slack alone; the others may repeat an origin
+        rng = random.Random(14)
+        rejected = {"origins": 0, "slack": 0}
+        for case in range(300):
+            r = rng.randint(1, 3)
+            d = rng.randint(r + 2, 9)
+            N = rng.randint(4, 24)
+            cells = [(i, j) for j in range(N) for i in rng.sample(range(d), rng.randint(r + 1, d))]
+            cm = build_constraint_matrix(SamplingPattern.from_cells(d, N, cells), r)
+            pool = list(range(len(cm)))
+            if case % 2 == 0:
+                rng.shuffle(pool)
+                pool = list({cm.origins[c]: c for c in pool}.values())
+            subset = rng.sample(pool, rng.randint(1, min(22, len(pool))))
+            distinct = len({cm.origins[c] for c in subset}) == len(subset)
+            for cond in (CountCondition.finite(r), CountCondition.unique(r)):
+                slack = min_slack_exhaustive(cm, subset, cond)
+                assert validate_witness(cm, subset, cond) == (distinct and slack >= 0)
+                rejected["origins"] += not distinct
+                rejected["slack"] += distinct and slack < 0
+        assert rejected["origins"] > 0 and rejected["slack"] > 0
 
 
 class TestFiniteCertificate:
