@@ -125,12 +125,23 @@ def _observation_arrays(observations: dict[Cell, float], pattern: SamplingPatter
     return M, mask
 
 
-def _group_keys(mask: np.ndarray, axis: int) -> dict[bytes, list[int]]:
+def _group_keys(M: np.ndarray, mask: np.ndarray, axis: int):
+    """The columns (axis 1) or rows (axis 0) of `mask` grouped by observed set.
+
+    Per group, in first-seen order: its members, the indices they observe,
+    and M's block on those, observed indices by members, built once per fit
+    so that every ALS sweep reuses them.
+    """
+    lines, data = (mask.T, M) if axis == 1 else (mask, M.T)
     groups: dict[bytes, list[int]] = {}
-    for idx in range(mask.shape[axis]):
-        key = (mask[:, idx] if axis == 1 else mask[idx, :]).tobytes()
-        groups.setdefault(key, []).append(idx)
-    return groups
+    for idx in range(lines.shape[0]):
+        groups.setdefault(lines[idx].tobytes(), []).append(idx)
+    out = []
+    for key, members in groups.items():
+        observed = np.flatnonzero(np.frombuffer(key, dtype=bool))
+        members = np.array(members)
+        out.append((members, observed, data[np.ix_(observed, members)]))
+    return out
 
 
 def _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance):
@@ -139,20 +150,18 @@ def _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance):
     iterations = 0
     for it in range(1, _MAX_ITERATIONS + 1):
         # columns given row factors
-        for key, cols in col_groups.items():
-            rows = np.flatnonzero(np.frombuffer(key, dtype=bool))
+        for cols, rows, block in col_groups:
             if rows.size == 0:
                 B[:, cols] = 0.0
                 continue
-            sol, *_ = np.linalg.lstsq(A[rows], M[np.ix_(rows, cols)], rcond=None)
+            sol, *_ = np.linalg.lstsq(A[rows], block, rcond=None)
             B[:, cols] = sol
         # rows given column factors
-        for key, rows in row_groups.items():
-            cols = np.flatnonzero(np.frombuffer(key, dtype=bool))
+        for rows, cols, block in row_groups:
             if cols.size == 0:
                 A[rows, :] = 0.0
                 continue
-            sol, *_ = np.linalg.lstsq(B[:, cols].T, M[np.ix_(rows, cols)].T, rcond=None)
+            sol, *_ = np.linalg.lstsq(B[:, cols].T, block, rcond=None)
             A[rows, :] = sol.T
         new_residual = float(np.linalg.norm((A @ B - M) * mask) / norm)
         iterations = it
@@ -163,23 +172,18 @@ def _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance):
     return residual, iterations
 
 
-def rank_r_fit(
-    observations: dict[Cell, float],
-    pattern: SamplingPattern,
-    r: int,
-    tolerance: float = 1e-6,
-) -> FitResult:
-    """Best relative misfit of a rank-r factor model on the cells `pattern` observes."""
+def _fits(observations: dict[Cell, float], pattern: SamplingPattern, r: int, tolerance: float):
+    """(residual, iterations) of ALS from each start in turn: the spectral
+    start first, then `_RESTARTS` - 1 seeded random ones."""
     if r < 1:
         raise ValueError("rank must be positive")
     M, mask = _observation_arrays(observations, pattern)
     norm = float(np.linalg.norm(M * mask))
     if norm == 0.0:
-        return FitResult(0.0, 0, True)
-    col_groups = _group_keys(mask, axis=1)
-    row_groups = _group_keys(mask, axis=0)
-
-    best = (np.inf, 0)
+        yield 0.0, 0
+        return
+    col_groups = _group_keys(M, mask, axis=1)
+    row_groups = _group_keys(M, mask, axis=0)
     for restart in range(_RESTARTS):
         if restart == 0:
             U, S, Vt = np.linalg.svd(M * mask, full_matrices=False)
@@ -190,7 +194,28 @@ def rank_r_fit(
             rng = np.random.default_rng([0, restart])
             A = rng.standard_normal((pattern.d, r))
             B = rng.standard_normal((r, pattern.N))
-        residual, iterations = _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance)
+        yield _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance)
+
+
+def _spectral_start_admits(
+    observations: dict[Cell, float], pattern: SamplingPattern, r: int, tolerance: float
+) -> bool:
+    """Whether the first start of `rank_r_fit`, the spectral one, reaches `tolerance`.
+
+    If so, `rank_r_fit` stops there and admits too.
+    """
+    return next(_fits(observations, pattern, r, tolerance))[0] <= tolerance
+
+
+def rank_r_fit(
+    observations: dict[Cell, float],
+    pattern: SamplingPattern,
+    r: int,
+    tolerance: float = 1e-6,
+) -> FitResult:
+    """Best relative misfit of a rank-r factor model on the cells `pattern` observes."""
+    best = (np.inf, 0)
+    for residual, iterations in _fits(observations, pattern, r, tolerance):
         if residual < best[0]:
             best = (residual, iterations)
         if best[0] <= tolerance:
@@ -227,20 +252,18 @@ def _peel_to_rank_r(blocks: np.ndarray, threshold: float) -> np.ndarray:
     return peeled
 
 
-def _minors_through(cols: np.ndarray, peeled: np.ndarray, r: int):
-    """The (r+1)-subsets of `cols` holding a column of `peeled`, in batches.
+def _probes(n: int, r: int) -> np.ndarray:
+    """The consecutive r-blocks of range(n), floor(n / r) of them, pairwise disjoint."""
+    return np.arange(n // r * r, dtype=np.intp).reshape(-1, r)
 
-    `peeled` is a subset of `cols`.  Each subset is generated once, from its
-    first peeled column, and lists that column first; the r others are read
-    lazily, in lexicographic order, from the columns after it in `peeled`
-    and those outside it.
-    """
-    rest = cols.tolist()
-    for p in peeled.tolist():
-        rest.remove(p)
-        flat = chain.from_iterable(combinations(rest, r))
-        while (part := np.fromiter(islice(flat, _MINOR_BATCH * r), dtype=np.intp)).size:
-            yield np.column_stack([np.full(part.size // r, p), part.reshape(-1, r)])
+
+def _non_probes(n: int, r: int):
+    """The r-subsets of range(n) but `_probes(n, r)`, in lexicographic order,
+    read lazily `_MINOR_BATCH` at a time."""
+    flat = chain.from_iterable(combinations(range(n), r))
+    while (part := np.fromiter(islice(flat, _MINOR_BATCH * r), dtype=np.intp)).size:
+        part = part.reshape(-1, r)
+        yield part[(part[:, 0] % r != 0) | (part[:, -1] - part[:, 0] != r - 1)]
 
 
 def iter_nonvanishing_minors(
@@ -265,15 +288,24 @@ def iter_nonvanishing_minors(
     its rows are peeled (`_peel_to_rank_r`) until the rest has sigma_{r+1} at
     or below the threshold, and determinants are taken only of the minors
     through a peeled column; a row subset that misses every noisy cell needs
-    none.  Row subsets are peeled `_PEEL_BATCH` at a time and determinants
-    taken `_MINOR_BATCH` at a time, so beyond the d x N observations memory
-    is O(_PEEL_BATCH * r^2 * N + _MINOR_BATCH * r^2): it grows with neither
-    C(N-1, r) nor the number of minors.  Yields (rows, cols): one row subset,
-    shape (r+1,), and the flagged column subsets of one batch, shape
-    (B, r+1), in no set order.
-    `needed(rows, cols)` returns which column sets, of a batch or single
-    peeled columns, to decide; the minors it rejects, and those holding a
-    rejected column, are skipped and not yielded.
+    none.  Each minor is taken once, from its first peeled column p, with
+    its other r columns among the n shared columns left after p and the
+    peeled columns before it.  The first batch through p is its probes,
+    whose other columns are the floor(n / r) consecutive, disjoint r-blocks
+    of those n (`_probes`); then come the other r-subsets, lexicographically
+    (`_non_probes`).  Row subsets are peeled `_PEEL_BATCH` at a time and
+    determinants taken `_MINOR_BATCH` at a time, so beyond the d x N
+    observations memory is O(_PEEL_BATCH * r^2 * N + _MINOR_BATCH * r^2): it
+    grows with neither C(N-1, r) nor the number of minors.  Yields (rows,
+    cols): one row subset, shape (r+1,), and the flagged column subsets of
+    one batch, shape (B, r+1), in no set order.
+    `needed(rows, cols)` returns which column sets, of a batch or the single
+    peeled column [[p]], to decide; the minors it rejects, and those holding
+    a rejected column, are skipped and not yielded.  It is asked about p
+    before each batch through p, so the consumer sees each yielded batch
+    before the next is decided: once s+1 probes through p are flagged, no
+    set of at most s cells hits them all without a cell of rows x {p}, and
+    a consumer tracking such sets can reject p and with it the rest.
     """
     if r < 1:
         raise ValueError("rank must be positive")
@@ -288,17 +320,21 @@ def iter_nonvanishing_minors(
         shared = mask[row_sets].all(axis=1)  # columns observed in all rows of each subset
         peeled = _peel_to_rank_r(M[row_sets] * shared[:, None, :], threshold)
         for t in np.flatnonzero(peeled.any(axis=1)):
-            block = M[row_sets[t]]
-            cols = np.flatnonzero(shared[t])
-            through = np.flatnonzero(peeled[t])
-            through = through[needed(row_sets[t], through[:, None])]
-            for combos in _minors_through(cols, through, r):
-                combos = combos[needed(row_sets[t], combos)]
-                minors = block[:, combos].transpose(1, 0, 2)
-                fro2 = np.einsum("bij,bij->b", minors, minors)
-                flagged = np.abs(np.linalg.det(minors)) * scale > threshold * fro2 ** (r / 2)
-                if flagged.any():
-                    yield row_sets[t], combos[flagged]
+            rows, block = row_sets[t], M[row_sets[t]]
+            rest = np.flatnonzero(shared[t])
+            for p in np.flatnonzero(peeled[t]).tolist():
+                # minors through p and an earlier peeled column came with that column
+                rest = rest[rest != p]
+                for others in chain([_probes(rest.size, r)], _non_probes(rest.size, r)):
+                    if not needed(rows, np.array([[p]]))[0]:
+                        break
+                    combos = np.column_stack([np.full(len(others), p), rest[others]])
+                    combos = combos[needed(rows, combos)]
+                    minors = block[:, combos].transpose(1, 0, 2)
+                    fro2 = np.einsum("bij,bij->b", minors, minors)
+                    flagged = np.abs(np.linalg.det(minors)) * scale > threshold * fro2 ** (r / 2)
+                    if flagged.any():
+                        yield rows, combos[flagged]
 
 
 def batched_masked_rank_residuals(

@@ -36,6 +36,7 @@ The corresponding probabilistic bounds remain useful as formulas.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -236,56 +237,76 @@ def verify_unique(
     return _verify(pattern, r, budget, True, enumeration_cap)
 
 
-def _missed(node: frozenset[Cell], rows: set[int], cols: np.ndarray) -> np.ndarray:
-    """Per row of `cols`, whether `node` holds no cell in `rows` x those columns."""
-    own = np.array([j for i, j in node if i in rows], dtype=np.intp)
-    return ~(cols[:, :, None] == own).any(axis=(1, 2))
+def _missed(nodes: list[frozenset[Cell]], rows: np.ndarray, cols: np.ndarray, N: int) -> np.ndarray:
+    """Per node and row of `cols`, whether the node holds no cell in `rows` x those columns."""
+    in_rows = set(rows.tolist())
+    held = [(k, j) for k, node in enumerate(nodes) for i, j in node if i in in_rows]
+    own = np.zeros((len(nodes), N), dtype=bool)
+    own[[k for k, _ in held], [j for _, j in held]] = True
+    return ~own[:, cols].any(axis=2)
+
+
+def _extend(
+    live: list[frozenset[Cell]], rows: np.ndarray, cols: np.ndarray, s: int, N: int
+) -> list[frozenset[Cell]]:
+    """The live family once the minors rows x cols are flagged too.
+
+    The tree grows level by level: a set that misses a minor is replaced by
+    its extensions with each cell of the first minor it misses, or dropped
+    when already of size s; the sets that hit them all are kept, and those
+    holding another kept set pruned.
+    """
+    level, seen, kept = live, set(live), []
+    while level:
+        missed = _missed(level, rows, cols, N)
+        grown = []
+        for node, miss, first in zip(level, missed.any(axis=1), missed.argmax(axis=1)):
+            if not miss:
+                kept.append(node)
+            elif len(node) < s:
+                for child in (node | {(i, j)} for i in rows.tolist() for j in cols[first].tolist()):
+                    if child not in seen:
+                        seen.add(child)
+                        grown.append(child)
+        level = grown
+    out: list[frozenset[Cell]] = []
+    for node in sorted(kept, key=len):
+        if not any(other <= node for other in out):
+            out.append(node)
+    return out
 
 
 def _small_hitting_sets(
-    observations: dict[Cell, float], pattern: SamplingPattern, r: int, s: int, tolerance: float
+    observations: dict[Cell, float],
+    pattern: SamplingPattern,
+    r: int,
+    s: int,
+    tolerance: float,
+    stop: Callable[[list[frozenset[Cell]]], bool] = lambda live: False,
 ) -> list[frozenset[Cell]]:
     """Cell sets of size <= s, such that a set of at most s cells hits every
     flagged minor exactly when it holds one of them.
 
     A bounded search tree grown over the stream of
-    `numeric.iter_nonvanishing_minors`: a set that misses a minor is replaced
-    by its extensions with each of the minor's cells, or dropped when already
-    of size s, and sets holding another are pruned.  The kept sets are the
+    `numeric.iter_nonvanishing_minors` (`_extend`).  The kept sets are the
     leaves of a tree of depth s and fan-out (r+1)^2, so at most (r+1)^(2s)
-    of them, however many minors are flagged.  A minor that every kept set
-    hits cannot change them, so its determinant is skipped.  The list is
-    empty when no set of size <= s hits them all (as with s+1 cell-disjoint
-    minors); the stream is then left unread.
+    of them, however many minors are flagged.  Every later live set holds an
+    earlier one, so a minor that every live set hits cannot change them, and
+    the stream skips its determinant (`needed`), and skips a peeled column p
+    of rows X whole once every live set holds a cell of X x {p}.  The
+    list is empty when no set of size <= s hits them all (as with s+1
+    cell-disjoint minors); the stream is then left unread.  It is left
+    unread too once `stop`, called on the live family after each batch,
+    returns True, and that family is returned as it stands.
     """
     live = [frozenset()]
 
     def needed(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = set(rows.tolist())
-        out = np.zeros(len(cols), dtype=bool)
-        for node in live:
-            out |= _missed(node, rows, cols)
-        return out
+        return _missed(live, rows, cols, pattern.N).any(axis=0)
 
     for rows, cols in numeric.iter_nonvanishing_minors(observations, pattern, r, tolerance, needed):
-        in_rows = set(rows.tolist())
-        queue, kept, seen = list(live), set(), set(live)
-        while queue:
-            node = queue.pop()
-            missed = _missed(node, in_rows, cols)
-            if not missed.any():
-                kept.add(node)
-            elif len(node) < s:
-                first = cols[missed.argmax()]
-                for child in (node | {(int(i), int(j))} for i in rows for j in first):
-                    if child not in seen:
-                        seen.add(child)
-                        queue.append(child)
-        live = []
-        for node in sorted(kept, key=len):
-            if not any(other <= node for other in live):
-                live.append(node)
-        if not live:
+        live = _extend(live, rows, cols, s, pattern.N)
+        if not live or stop(live):
             break
     return live
 
@@ -310,6 +331,38 @@ def _holding(bases: list[tuple[int, ...]], n: int, size: int):
         previous = cand
 
 
+def _fit_in_order(
+    observations: dict[Cell, float],
+    pattern: SamplingPattern,
+    r: int,
+    s: int,
+    tolerance: float,
+    family: list[frozenset[Cell]],
+) -> frozenset[Cell]:
+    """The first candidate holding a set of `family`, by cardinality and then
+    lexicographically, whose removal admits a rank-r fit; raises
+    `NoSupportFoundError` when none of size <= s does."""
+    cells = pattern.cells()
+    position = {cell: k for k, cell in enumerate(cells)}
+    hitting = [tuple(sorted(position[c] for c in node)) for node in family]
+    passed = 0
+    best_residual = np.inf
+    for size in range(s + 1):
+        for cand in _holding(hitting, len(cells), size):
+            passed += 1
+            dropped = RemovalSet(frozenset(cells[k] for k in cand))
+            fit = numeric.rank_r_fit(observations, remove_entries(pattern, dropped), r, tolerance)
+            if fit.admits:
+                return dropped.cells
+            best_residual = min(best_residual, fit.residual)
+    raise NoSupportFoundError(
+        f"no support of size <= {s} admits a rank-{r} fit at tolerance {tolerance} "
+        f"(candidates passing the vanishing-minor filter: {passed}); the rank may be wrong, "
+        "the noise heavier than budgeted, or the tolerance too tight",
+        best_residual=best_residual if passed else None,
+    )
+
+
 def identify_noise_support(
     noisy_observations: dict[Cell, float],
     pattern: SamplingPattern,
@@ -327,36 +380,35 @@ def identify_noise_support(
     holds one of the sets of `_small_hitting_sets`.  No candidate that misses
     such a minor admits a fit at `fit_tolerance`, so the result is the one
     that fitting every candidate in order would give, on any pattern.
+
+    The minor stream stops early once the live family, read after each batch,
+    is a single set H not yet tried whose removal admits a fit from the
+    spectral start alone (the first start of `numeric.rank_r_fit`).  Every
+    later live set holds H, and H hits every flagged minor, so H would be the
+    whole final family and the first candidate holding it, which
+    `rank_r_fit` admits at that same start.  A failed probe changes nothing.
     """
     if s < 0:
         raise ValueError("noise budget must be non-negative")
     if not 0 <= fit_tolerance < np.inf:
         raise ValueError("fit tolerance must be finite and non-negative")
-    cells = pattern.cells()
-    if not cells:
+    if not pattern.observed:
         raise ValueError("pattern has no observed cells")
 
-    position = {cell: k for k, cell in enumerate(cells)}
-    hitting = [
-        tuple(sorted(position[c] for c in node))
-        for node in _small_hitting_sets(noisy_observations, pattern, r, s, fit_tolerance)
-    ]
-    passed = 0
-    best_residual = np.inf
-    for size in range(s + 1):
-        for cand in _holding(hitting, len(cells), size):
-            passed += 1
-            dropped = RemovalSet(frozenset(cells[k] for k in cand))
-            fit = numeric.rank_r_fit(noisy_observations, remove_entries(pattern, dropped), r, fit_tolerance)
-            if fit.admits:
-                return dropped.cells
-            best_residual = min(best_residual, fit.residual)
-    raise NoSupportFoundError(
-        f"no support of size <= {s} admits a rank-{r} fit at tolerance {fit_tolerance} "
-        f"(candidates passing the vanishing-minor filter: {passed}); the rank may be wrong, "
-        "the noise heavier than budgeted, or the tolerance too tight",
-        best_residual=best_residual if passed else None,
-    )
+    probed: dict[frozenset[Cell], bool] = {}  # sole live sets: spectral start admits?
+
+    def sole_fits(live: list[frozenset[Cell]]) -> bool:
+        if len(live) != 1 or live[0] in probed:
+            return False
+        remaining = remove_entries(pattern, RemovalSet(live[0]))
+        admits = numeric._spectral_start_admits(noisy_observations, remaining, r, fit_tolerance)
+        probed[live[0]] = admits
+        return admits
+
+    family = _small_hitting_sets(noisy_observations, pattern, r, s, fit_tolerance, sole_fits)
+    if len(family) == 1 and probed.get(family[0]):
+        return family[0]
+    return _fit_in_order(noisy_observations, pattern, r, s, fit_tolerance, family)
 
 
 def serialize_observations(pattern: SamplingPattern, values: dict[Cell, float]) -> str:

@@ -1,9 +1,9 @@
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
-from robustmc import numeric
+from robustmc import numeric, sim
 from robustmc.numeric import (
     batched_masked_rank_residuals,
     generate_instance,
@@ -111,6 +111,33 @@ class TestFit:
         fit = rank_r_fit({(0, 0): 0.0}, p, 1)
         assert fit.residual == 0.0
 
+    # (seed, residual, iterations) on seeded partial patterns, rank 1-3 and 0-2
+    # noisy cells, recorded while every ALS sweep still rebuilt its index arrays
+    RECORDED = [
+        (0, 7.257243847850609e-08, 4),
+        (1, 0.0718462039097172, 25),
+        (2, 0.041996798788874454, 14),
+        (3, 5.124799919732401e-07, 13),
+        (4, 0.06455669703644035, 8),
+        (5, 0.08628765554039314, 40),
+        (6, 3.361772347311933e-07, 8),
+        (7, 0.008061352247679175, 12),
+        (8, 0.07638269096341875, 15),
+        (9, 6.275302454119468e-07, 13),
+        (10, 0.024591975047289653, 12),
+        (11, 0.01314822482175365, 33),
+    ]
+
+    @pytest.mark.parametrize("seed,residual,iterations", RECORDED)
+    def test_fits_are_bit_identical_to_recorded(self, seed, residual, iterations):
+        d, N, r = 6 + seed % 3, 9 + seed % 4, 1 + seed % 3
+        pattern = sim.sample_pattern(d, N, d - 1 - seed % 2, np.random.default_rng(seed))
+        inst = generate_instance(
+            d, N, r, NoiseBudget.global_noise(seed % 3), planted=True, seed=seed, pattern=pattern
+        )
+        fit = rank_r_fit(inst.observations(), pattern, r, 1e-6)
+        assert (fit.residual, fit.iterations) == (residual, iterations)
+
 
 def _all(rows, cols):
     """A `needed` filter that keeps every column set."""
@@ -199,6 +226,18 @@ class TestNonvanishingMinors:
     def test_no_minors_at_full_rank(self):
         inst = generate_instance(3, 5, 3, seed=2)
         assert _flagged(inst.X, inst.pattern, 3, 1e-6) == set()
+
+
+@pytest.mark.parametrize("n,r", [(0, 2), (1, 2), (5, 1), (7, 2), (10, 3), (11, 3)])
+def test_probes_and_the_rest_split_the_r_subsets(n, r, monkeypatch):
+    # the probes are disjoint, and with the rest give every r-subset once, in order
+    monkeypatch.setattr(numeric, "_MINOR_BATCH", 4)
+    probes = [tuple(p) for p in numeric._probes(n, r).tolist()]
+    rest = [tuple(c) for part in numeric._non_probes(n, r) for c in part.tolist()]
+    assert len(probes) == n // r
+    assert len(set(chain.from_iterable(probes))) == r * len(probes)
+    assert rest == sorted(rest)
+    assert sorted(probes + rest) == list(combinations(range(n), r))
 
 
 class TestBatchedScreen:

@@ -20,6 +20,7 @@ from robustmc.robust import (
     NoSupportFoundError,
     RobustOutcome,
     RobustVerdict,
+    _fit_in_order,
     _holding,
     _small_hitting_sets,
     _witness_cells,
@@ -325,6 +326,25 @@ class TestIdentify:
         assert sum(read) < 10_000
         assert peak < 16e6
 
+    def test_sole_fitting_support_ends_the_stream(self, monkeypatch):
+        # the planted pair is the only live set after a few flagged batches;
+        # its removal fits, so the rest of the minors are left unread
+        inst = numeric.generate_instance(
+            40, 200, 3, NoiseBudget.global_noise(2), planted=True, seed=1
+        )
+        read = []
+        stream = numeric.iter_nonvanishing_minors
+
+        def counted(*args):
+            for rows, cols in stream(*args):
+                read.append(len(cols))
+                yield rows, cols
+
+        monkeypatch.setattr(numeric, "iter_nonvanishing_minors", counted)
+        support = identify_noise_support(inst.observations(), inst.pattern, 3, 2, 1e-6)
+        assert support == inst.noise_support()
+        assert sum(read) < 2_000
+
     def test_error_reports_best_fitted_residual(self):
         # a 6-cycle holds no 2x2 minor, so the empty candidate is fitted and fails
         cells = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
@@ -439,6 +459,33 @@ def test_identify_matches_fitting_every_candidate(seed, d, N, r, l, s, planted):
     except NoSupportFoundError:
         support = None
     assert support == _fit_every_candidate(obs, pattern, r, s, 1e-6)
+
+
+def _outcome(call):
+    """The support a call returns, or the message and best residual it raises."""
+    try:
+        return call()
+    except NoSupportFoundError as exc:
+        return str(exc), exc.best_residual
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_identify_matches_the_full_family(seed):
+    # reference: no early stop, every candidate holding a set of the final
+    # family fitted in order; planted 0 to s+1 cells, one row missing per column
+    rng = random.Random(seed)
+    s, r = rng.choice([1, 2]), rng.choice([1, 2])
+    planted = rng.randint(0, s + 1)
+    d, N = rng.randint(5, 7), rng.randint(6, 9)
+    pattern = sim.sample_pattern(d, N, d - 1, np.random.default_rng(seed))
+    inst = numeric.generate_instance(
+        d, N, r, NoiseBudget.global_noise(planted), planted=True, seed=seed, pattern=pattern
+    )
+    obs = inst.observations()
+    family = _small_hitting_sets(obs, pattern, r, s, 1e-6)
+    assert _outcome(lambda: identify_noise_support(obs, pattern, r, s, 1e-6)) == _outcome(
+        lambda: _fit_in_order(obs, pattern, r, s, 1e-6, family)
+    )
 
 
 class TestObservationFormat:
