@@ -18,7 +18,6 @@ from .certify import (
     find_finite_certificate,
     find_unique_certificate,
     min_slack,
-    min_slack_exhaustive,
     validate_witness,
 )
 from .numeric import FitResult, Instance, generate_instance, rank_r_fit
@@ -28,7 +27,6 @@ from .pattern import (
     RemovalSet,
     SamplingPattern,
     build_constraint_matrix,
-    count_removals,
     enumerate_removals,
     load_pattern,
     parse_pattern,

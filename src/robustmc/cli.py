@@ -9,8 +9,11 @@ decided), 64 for usage errors, 65 for missing, unreadable or malformed files.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
+from contextlib import suppress
 
 from . import bounds, rank, robust, sim
 from .pattern import NoiseBudget, PatternFormatError, load_pattern
@@ -216,14 +219,14 @@ def _merge_g_list(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_g_list(list(argv))
+    text = io.StringIO()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -236,10 +239,18 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    with suppress(BrokenPipeError):  # a reader that stops early is no input error
+        (out if out is not None else sys.stdout).write(text.getvalue())
+    return code
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # the exit flush would raise again, so point stdout at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

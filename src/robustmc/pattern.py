@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
@@ -181,53 +181,13 @@ def remove_entries(pattern: SamplingPattern, removal: RemovalSet) -> SamplingPat
     return SamplingPattern(pattern.d, pattern.N, pattern.observed - cells)
 
 
-def count_removals(pattern: SamplingPattern, budget: NoiseBudget, extra: int) -> int:
-    """Number of removal sets enumerate_removals would yield (without enumerating)."""
-    if extra < 0:
-        raise ValueError("extra must be non-negative")
-    if budget.kind == GLOBAL:
-        need = budget.amount + extra
-        total = len(pattern.observed)
-        if need > total:
-            raise ValueError(f"cannot remove {need} cells from {total} observed")
-        return math.comb(total, need)
-    need = budget.amount + extra
-    count = 1
-    for j, l in enumerate(pattern.column_counts()):
-        if l < need:
-            raise ValueError(f"column {j} has {l} observed cells; cannot remove {need}")
-        count *= math.comb(l, need)
-    return count
-
-
-def enumerate_removals(
-    pattern: SamplingPattern,
-    budget: NoiseBudget,
-    extra: int = 0,
-) -> Iterator[RemovalSet]:
-    """Stream every removal set for the budget, in deterministic lexicographic order.
-
-    Global budgets yield all cell subsets of size amount+extra; per-column
-    budgets yield the Cartesian product of per-column choices of exactly
-    amount+extra cells.
-    """
-    count_removals(pattern, budget, extra)  # validate preconditions up front
-    need = budget.amount + extra
-
-    if budget.kind == GLOBAL:
-        # need == 0 yields the one empty removal without sorting the cells
-        stream: Iterable[tuple[Cell, ...]] = combinations(pattern.cells() if need else (), need)
-    else:
-        per_column = []
-        for j in range(pattern.N):
-            col_cells = tuple((i, j) for i in pattern.column_rows(j))
-            per_column.append(tuple(combinations(col_cells, need)))
-        stream = (
-            tuple(cell for chunk in choice for cell in chunk)
-            for choice in product(*per_column)
-        )
-
-    for cells in stream:
+def enumerate_removals(pattern: SamplingPattern, size: int) -> Iterator[RemovalSet]:
+    """Stream all comb(|observed|, size) `size`-subsets of the observed cells,
+    in lexicographic order; size 0 yields the one empty removal, without
+    sorting the cells.  Raises ValueError unless 0 <= size <= |observed|."""
+    if not 0 <= size <= len(pattern.observed):
+        raise ValueError(f"cannot remove {size} of {len(pattern.observed)} observed cells")
+    for cells in combinations(pattern.cells() if size else (), size):
         yield RemovalSet(frozenset(cells))
 
 

@@ -36,6 +36,7 @@ The corresponding probabilistic bounds remain useful as formulas.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +53,6 @@ from .pattern import (
     RemovalSet,
     SamplingPattern,
     build_constraint_matrix,
-    count_removals,
     enumerate_removals,
     read_cell_lines,
     rebuild_origins,
@@ -179,8 +179,8 @@ def _verify(
             RobustOutcome.REFUTED, checked=1, failing_removal=removal, reason=cert.note
         )
 
-    extra = 1 if unique else 0
-    total = count_removals(pattern, budget, extra)
+    need = budget.amount + unique
+    total = math.comb(len(pattern.observed), need)
     if total > enumeration_cap:
         return RobustVerdict(
             RobustOutcome.INDETERMINATE,
@@ -191,7 +191,7 @@ def _verify(
     kept: list[frozenset[Cell]] = []  # cells of witnesses valid in `pattern`, most recent first
     last = None  # the latest positive certificate, which starts the next search
     checked = 0
-    for removal in enumerate_removals(pattern, budget, extra):
+    for removal in enumerate_removals(pattern, need):
         checked += 1
         if any(removal.cells.isdisjoint(cells) for cells in kept):
             continue
@@ -311,21 +311,21 @@ def _small_hitting_sets(
     return live
 
 
-def _supersets(base: tuple[int, ...], n: int, size: int):
-    """The sorted `size`-subsets of range(n) holding `base`, in lexicographic order.
+def _supersets(base: tuple, items: tuple, size: int):
+    """The sorted `size`-subsets of the ascending `items` holding `base`, in lexicographic order.
 
     Adding fixed elements to sorted tuples keeps their lexicographic order.
     """
-    rest = [k for k in range(n) if k not in base]
+    rest = [item for item in items if item not in base]
     for extra in combinations(rest, size - len(base)):
         yield tuple(sorted(base + extra))
 
 
-def _holding(bases: list[tuple[int, ...]], n: int, size: int):
-    """The sorted `size`-subsets of range(n) holding one of `bases`, each once,
-    in lexicographic order."""
+def _holding(bases: list[tuple], items: tuple, size: int):
+    """The sorted `size`-subsets of the ascending `items` holding one of
+    `bases`, each once, in lexicographic order."""
     previous = None
-    for cand in heapq.merge(*(_supersets(b, n, size) for b in bases if len(b) <= size)):
+    for cand in heapq.merge(*(_supersets(b, items, size) for b in bases if len(b) <= size)):
         if cand != previous:
             yield cand
         previous = cand
@@ -343,14 +343,13 @@ def _fit_in_order(
     lexicographically, whose removal admits a rank-r fit; raises
     `NoSupportFoundError` when none of size <= s does."""
     cells = pattern.cells()
-    position = {cell: k for k, cell in enumerate(cells)}
-    hitting = [tuple(sorted(position[c] for c in node)) for node in family]
+    hitting = [tuple(sorted(node)) for node in family]
     passed = 0
     best_residual = np.inf
     for size in range(s + 1):
-        for cand in _holding(hitting, len(cells), size):
+        for cand in _holding(hitting, cells, size):
             passed += 1
-            dropped = RemovalSet(frozenset(cells[k] for k in cand))
+            dropped = RemovalSet(frozenset(cand))
             fit = numeric.rank_r_fit(observations, remove_entries(pattern, dropped), r, tolerance)
             if fit.admits:
                 return dropped.cells

@@ -16,10 +16,12 @@ from robustmc.bounds import (
     noiseless_bound,
     sweep,
 )
-from robustmc.certify import CountCondition, Verdict, min_slack, min_slack_exhaustive
+from robustmc.certify import CountCondition, Verdict, min_slack
 from robustmc.pattern import NoiseBudget, SamplingPattern, build_constraint_matrix
 from robustmc.rank import estimate_rank_ceiling
 from robustmc.robust import RobustOutcome, verify_finite
+
+from oracles import min_slack_exhaustive
 
 
 class _Criterion:

@@ -15,13 +15,14 @@ from robustmc.certify import (
     find_finite_certificate,
     find_unique_certificate,
     min_slack,
-    min_slack_exhaustive,
     validate_witness,
 )
 from robustmc import certify
 from robustmc.pattern import NoiseBudget, SamplingPattern, build_constraint_matrix, rebuild_origins
 from robustmc.robust import RobustOutcome, verify_finite
 from robustmc.sim import sample_pattern
+
+from oracles import min_slack_exhaustive
 
 
 def random_candidate(rng, max_d=8, max_cols=12):

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import robustmc
 from robustmc import numeric, sim
 from robustmc.bounds import parse_sweep_csv
 from robustmc.cli import run
@@ -294,3 +299,42 @@ class TestUsage:
     def test_missing_required(self):
         code, _ = invoke(["verify", "--rank", "1"])
         assert code == 64
+
+
+class _ClosedStream:
+    """A stream whose reader has gone, like a pipe into `head -1` that has exited."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.fixture
+def thin_pattern_file(tmp_path):
+    path = tmp_path / "thin.pat"
+    path.write_text(serialize_pattern(SamplingPattern.full(3, 1)))
+    return str(path)
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("command, code", [("verify", 1), ("simulate", 0)])
+    def test_command_keeps_its_exit_code(self, thin_pattern_file, capsys, command, code):
+        argv = {
+            "verify": ["verify", "--pattern", thin_pattern_file, "--rank", "1"],
+            "simulate": ["simulate", "--d", "5", "--N", "8", "--r", "2", "--l", "5", "--trials", "2"],
+        }[command]
+        assert run(argv, out=_ClosedStream()) == code
+        assert capsys.readouterr().err == ""
+
+    def test_main_keeps_its_exit_code_at_the_exit_flush(self, thin_pattern_file):
+        # stdout is a pipe whose read end is closed before the command writes
+        env = dict(os.environ, PYTHONPATH=str(Path(robustmc.__file__).parent.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from robustmc.cli import main; main()",
+             "verify", "--pattern", thin_pattern_file, "--rank", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

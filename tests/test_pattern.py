@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from robustmc.pattern import (
     RemovalSet,
     SamplingPattern,
     build_constraint_matrix,
-    count_removals,
     enumerate_removals,
     parse_pattern,
     rebuild_origins,
@@ -170,40 +170,29 @@ class TestRemovalDelta:
 class TestEnumeration:
     def test_global_one_of_four(self):
         p = pat(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        sets = list(enumerate_removals(p, NoiseBudget.global_noise(1)))
+        sets = list(enumerate_removals(p, 1))
         assert len(sets) == 4
         assert len({s.cells for s in sets}) == 4
 
-    def test_per_column_product(self):
-        p = pat(3, 2, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)])
-        sets = list(enumerate_removals(p, NoiseBudget.per_column(0), extra=1))
-        assert len(sets) == 2 * 3
-
     def test_global_zero_single_empty(self):
         p = pat(2, 1, [(0, 0), (1, 0)])
-        sets = list(enumerate_removals(p, NoiseBudget.global_noise(0)))
+        sets = list(enumerate_removals(p, 0))
         assert sets == [RemovalSet(frozenset())]
 
     @given(
         st.sets(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=12),
-        st.integers(0, 3),
+        st.integers(-1, 3),
     )
     @settings(deadline=None, max_examples=60)
     def test_global_count_is_binomial(self, cells, s):
         p = SamplingPattern(4, 3, frozenset(cells))
-        if s > len(cells):
+        if not 0 <= s <= len(cells):
             with pytest.raises(ValueError):
-                count_removals(p, NoiseBudget.global_noise(s), 0)
+                list(enumerate_removals(p, s))
             return
-        got = list(enumerate_removals(p, NoiseBudget.global_noise(s)))
+        got = list(enumerate_removals(p, s))
         assert len(got) == math.comb(len(cells), s)
-        assert len(got) == count_removals(p, NoiseBudget.global_noise(s), 0)
-
-    def test_infeasible_per_column_signalled(self):
-        # column 1 has a single cell; removing g+extra = 2 is impossible
-        p = pat(3, 2, [(0, 0), (1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            list(enumerate_removals(p, NoiseBudget.per_column(1), extra=1))
+        assert [removal.sorted_cells() for removal in got] == list(combinations(p.cells(), s))
 
 
 class TestTextFormat:

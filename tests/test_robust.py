@@ -1,6 +1,7 @@
+import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from robustmc.pattern import (
     RemovalSet,
     SamplingPattern,
     build_constraint_matrix,
-    count_removals,
     enumerate_removals,
     remove_entries,
 )
@@ -124,6 +124,15 @@ class TestVerifyFinite:
         assert verdict.failing_removal.cells == frozenset((0, j) for j in range(30))
 
 
+def _per_column_removals(pattern, need):
+    """Every choice of `need` observed cells in each column, in lexicographic order."""
+    per_column = [
+        combinations([(i, j) for i in pattern.column_rows(j)], need) for j in range(pattern.N)
+    ]
+    for choice in product(*per_column):
+        yield RemovalSet(frozenset(cell for chunk in choice for cell in chunk))
+
+
 class TestVerifyUnique:
     def test_full_pattern_uniquely_completable(self):
         verdict = verify_unique(SamplingPattern.full(3, 4), 1, NoiseBudget.global_noise(0))
@@ -171,7 +180,7 @@ class TestVerifyUnique:
                 verdict = verifier(pattern, r, budget)
                 first_failure = next(
                     removal
-                    for removal in enumerate_removals(pattern, budget, extra=1)
+                    for removal in _per_column_removals(pattern, g + 1)
                     if find(build_constraint_matrix(remove_entries(pattern, removal), r), r).verdict
                     == certify.Verdict.REFUTED
                 )
@@ -183,7 +192,7 @@ class TestVerifyUnique:
 def _resolve_every_removal(pattern, r, budget, unique, find) -> dict:
     """The global verdict without the witness filter: one certificate per removal."""
     checked = 0
-    for removal in enumerate_removals(pattern, budget, extra=1 if unique else 0):
+    for removal in enumerate_removals(pattern, budget.amount + unique):
         checked += 1
         cert = find(build_constraint_matrix(remove_entries(pattern, removal), r), r)
         if cert.verdict == certify.Verdict.REFUTED:
@@ -222,7 +231,7 @@ class TestWitnessFilter:
             origins = r * (d - r) + (d - r if unique else 0)
             pattern = random_pattern(rng, d, rng.randint(max(origins - 1, 1), origins + 3), floor)
             budget = NoiseBudget.global_noise(s)
-            if count_removals(pattern, budget, int(unique)) > 600:
+            if math.comb(len(pattern.observed), s + unique) > 600:
                 continue
             cases += 1
             before = calls[0]
@@ -428,7 +437,7 @@ def test_holding_lists_each_superset_once_in_order(seed):
     bases = [tuple(sorted(rng.sample(range(n), rng.randint(low, 3)))) for _ in range(4)]
     for size in range(5):
         expected = [c for c in combinations(range(n), size) if any(set(b) <= set(c) for b in bases)]
-        assert list(_holding(bases, n, size)) == expected
+        assert list(_holding(bases, tuple(range(n)), size)) == expected
 
 
 # (seed, d, N, r, l, s, planted cells): partial patterns, s = 2 only where d*N <= 20
