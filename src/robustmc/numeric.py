@@ -79,6 +79,8 @@ def generate_instance(
     column); otherwise the support size is drawn uniformly up to the budget.
     Noise lands only on observed cells.
     """
+    if r < 1:
+        raise ValueError("rank must be positive")
     if r > min(d, N):
         raise ValueError("rank exceeds matrix dimensions")
     if pattern is None:
@@ -145,7 +147,8 @@ def _group_keys(M: np.ndarray, mask: np.ndarray, axis: int):
 
 
 def _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance):
-    """Alternate factor solves until the residual stabilizes; returns best state."""
+    """Alternate factor solves until the residual stabilizes or reaches `tolerance`;
+    returns the last sweep's (residual, sweep count)."""
     residual = np.inf
     iterations = 0
     for it in range(1, _MAX_ITERATIONS + 1):
@@ -228,9 +231,10 @@ def _peel_to_rank_r(blocks: np.ndarray, threshold: float) -> np.ndarray:
     """Columns to peel off each k x N block until its sigma_k is at most `threshold`.
 
     Each round removes, in every block still above the threshold, the nonzero
-    column whose removal leaves the smallest sigma_k (the least eigenvalue of
-    the block's Gram matrix without that column).  A block stops once it has
-    fewer than k nonzero columns, so every block stops within N rounds.
+    column x of largest leverage x^T G^-1 x (G the block's Gram matrix), read
+    off V of the stop test's SVD; as det(G - x x^T) = det G * (1 - x^T G^-1 x),
+    that removal shrinks det G the most.  A block stops once it has fewer than
+    k nonzero columns, so every block stops within N rounds.
     """
     k = blocks.shape[1]
     blocks = blocks.copy()
@@ -238,15 +242,11 @@ def _peel_to_rank_r(blocks: np.ndarray, threshold: float) -> np.ndarray:
     active = np.arange(blocks.shape[0])
     while active.size:
         live = blocks[active].any(axis=1)
-        above = live.sum(axis=1) >= k
-        above[above] = np.linalg.svd(blocks[active[above]], compute_uv=False)[:, -1] > threshold
-        active, live = active[above], live[above]
-        if active.size == 0:
-            break
-        sub = blocks[active]
-        outer = np.einsum("bin,bjn->bnij", sub, sub)
-        rest = np.linalg.eigvalsh(outer.sum(axis=1, keepdims=True) - outer)[:, :, 0]
-        worst = np.where(live, rest, np.inf).argmin(axis=1)
+        _, sigma, vt = np.linalg.svd(blocks[active], full_matrices=False)
+        above = (live.sum(axis=1) >= k) & (sigma[:, -1] > threshold)
+        active, live, vt = active[above], live[above], vt[above]
+        leverage = np.einsum("bin,bin->bn", vt, vt)  # x^T G^-1 x per column
+        worst = np.where(live, leverage, -np.inf).argmax(axis=1)
         peeled[active, worst] = True
         blocks[active, :, worst] = 0.0
     return peeled

@@ -60,6 +60,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_instance(3, 5, 4)
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            generate_instance(4, 4, 0)
+
 
 class TestFit:
     def test_noiseless_planted_fits(self):
@@ -226,6 +230,37 @@ class TestNonvanishingMinors:
     def test_no_minors_at_full_rank(self):
         inst = generate_instance(3, 5, 3, seed=2)
         assert _flagged(inst.X, inst.pattern, 3, 1e-6) == set()
+
+
+def test_peel_takes_the_column_whose_removal_shrinks_det_g_most():
+    # one peel suffices at this threshold, so the rule alone picks the column
+    checked = 0
+    for seed in range(50):
+        block = np.random.default_rng(seed).standard_normal((3, 9))
+        if seed % 2:
+            block[:, seed % 9] = 0.0
+        nonzero = np.flatnonzero(block.any(axis=0))
+        sigma3 = [np.linalg.svd(np.delete(block, j, axis=1), compute_uv=False)[-1] for j in nonzero]
+        threshold = 1.0000001 * max(sigma3)
+        if threshold >= np.linalg.svd(block, compute_uv=False)[-1]:
+            continue
+        G = block @ block.T
+        dets = [np.linalg.det(G - np.outer(block[:, j], block[:, j])) for j in nonzero]
+        peeled = numeric._peel_to_rank_r(block[None], threshold)[0]
+        assert np.flatnonzero(peeled).tolist() == [nonzero[np.argmin(dets)]], seed
+        checked += 1
+    assert checked >= 45
+    # a block with 2 nonzero columns and an all-zero block have sigma_3 = 0: no peel at 0
+    sparse = np.zeros((2, 3, 9))
+    sparse[0, :, [2, 5]] = np.random.default_rng(0).standard_normal((2, 3))
+    assert not numeric._peel_to_rank_r(sparse, 0.0).any()
+    # rank-1 blocks with 3 nonzero columns: sigma_3 is rounding noise above 0,
+    # and so are V's rows on the zero columns, which must never be peeled
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        rank1 = np.zeros((1, 3, 9))
+        rank1[0][:, [1, 4, 6]] = np.outer(rng.standard_normal(3), rng.standard_normal(3))
+        assert set(np.flatnonzero(numeric._peel_to_rank_r(rank1, 0.0)[0])) <= {1, 4, 6}
 
 
 @pytest.mark.parametrize("n,r", [(0, 2), (1, 2), (5, 1), (7, 2), (10, 3), (11, 3)])
