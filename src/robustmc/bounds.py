@@ -15,7 +15,7 @@ hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .pattern import GLOBAL, PER_COLUMN, NoiseBudget
 
@@ -55,14 +55,7 @@ class BoundResult:
     unique_N_ok: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "l_min": self.l_min,
-            "binding": self.binding,
-            "feasible": self.feasible,
-            "premise_ok": self.premise_ok,
-            "finite_N_ok": self.finite_N_ok,
-            "unique_N_ok": self.unique_N_ok,
-        }
+        return asdict(self)
 
 
 def _result(q: BoundQuery, l_min: int, branches: list[tuple[str, float]]) -> BoundResult:
@@ -219,6 +212,7 @@ def sweep(
     """One bound evaluation per (g, r) pair, noiseless rows under g = -1.
 
     Rows with a violated r <= d/6 premise are emitted flagged, not dropped.
+    A `SweepRow` carries no N check, so `N` changes no row.
     """
     rows = []
     for g in sorted(g_values):

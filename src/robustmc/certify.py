@@ -209,7 +209,7 @@ def validate_witness(cm: ConstraintMatrix, witness: Sequence[int], cond: CountCo
     origins = [cm.origins[i] for i in witness]
     if len(set(origins)) != len(origins):
         return False
-    return not witness or _prefix_scan(cm, witness, cond, 0) >= 0
+    return _prefix_scan(cm, witness, cond, 0) >= 0
 
 
 class _PebbleGame:
@@ -379,8 +379,6 @@ def _max_rainbow_witnesses(
         for p in range(len(parts)):
             if len(members[p]) < caps[p]:
                 sources.extend(y for y in outside[p] if circuit(y) is None)
-        if not sources:
-            return None
         sinks = {y for copy in outside for y in copy if cm.origins[y % n] not in origin_member}
 
         parent: dict[int, int | None] = {}
@@ -477,9 +475,6 @@ def _certificate(
     parts = [(CountCondition.finite(r), r * (cm.d - r))]
     if unique:
         parts.append((CountCondition.unique(r), cm.d - r))
-    if parts[0][1] <= 0:
-        empty = tuple(() for _ in parts)
-        return Certificate(positive, r, *empty, _pebbles=(cm.d, empty))
     required = sum(size for _, size in parts)
     available = len(set(cm.origins))
     if available < required:

@@ -154,16 +154,10 @@ def _als_sweeps(M, mask, A, B, col_groups, row_groups, norm, tolerance):
     for it in range(1, _MAX_ITERATIONS + 1):
         # columns given row factors
         for cols, rows, block in col_groups:
-            if rows.size == 0:
-                B[:, cols] = 0.0
-                continue
             sol, *_ = np.linalg.lstsq(A[rows], block, rcond=None)
             B[:, cols] = sol
         # rows given column factors
         for rows, cols, block in row_groups:
-            if cols.size == 0:
-                A[rows, :] = 0.0
-                continue
             sol, *_ = np.linalg.lstsq(B[:, cols].T, block, rcond=None)
             A[rows, :] = sol.T
         new_residual = float(np.linalg.norm((A @ B - M) * mask) / norm)

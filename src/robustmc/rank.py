@@ -42,20 +42,13 @@ def estimate_rank_ceiling(
     rather than Refuted, leaving the ceiling a lower bound only.
     """
     per_rank: dict[int, robust.RobustVerdict] = {}
-    r_star = 0
-    exact = True
-    r = 1
-    while r <= pattern.d + 1:
+    # rank d+1 fails the premise floor in every column, so the scan always breaks
+    for r in range(1, pattern.d + 2):
         verdict = robust.verify_finite(pattern, r, budget, enumeration_cap=enumeration_cap)
         per_rank[r] = verdict
-        if verdict.verdict in (robust.RobustOutcome.FINITE, robust.RobustOutcome.UNIQUE):
-            r_star = r
-            r += 1
-            continue
-        if verdict.verdict == robust.RobustOutcome.INDETERMINATE:
-            exact = False
-        break
-    return RankCeiling(r_star, per_rank, exact)
+        if verdict.verdict != robust.RobustOutcome.FINITE:
+            break
+    return RankCeiling(r - 1, per_rank, verdict.verdict != robust.RobustOutcome.INDETERMINATE)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
 column) empties the smallest observed row, and a pattern with an empty row is
 never finitely completable.  So per-column checks are always refuted by that
-removal, which is built directly and re-checked by the certificate search.
+removal, built directly and solved as the only one by the global loop.
 The corresponding probabilistic bounds remain useful as formulas.
 """
 
@@ -168,30 +168,25 @@ def _verify(
         return RobustVerdict(RobustOutcome.REFUTED, reason=failure, premise_violation=True)
 
     certificate = certify.find_unique_certificate if unique else certify.find_finite_certificate
-    if budget.kind != GLOBAL:
+    if budget.kind == GLOBAL:
+        need = budget.amount + unique
+        total = math.comb(len(pattern.observed), need)
+        if total > enumeration_cap:
+            return RobustVerdict(
+                RobustOutcome.INDETERMINATE,
+                reason=f"{total} removal patterns exceed the enumeration cap of {enumeration_cap}",
+            )
+        removals = enumerate_removals(pattern, need)
+    else:
         # the premise gives r < d; with a row empty, a finite witness W would
         # need r*rows(W) >= |W| + r*r = r*d while rows(W) <= d-1
-        removal = _row_erasing_removal(pattern, budget.amount + 1)
-        cert = certificate(build_constraint_matrix(remove_entries(pattern, removal), r), r)
-        if cert.verdict != certify.Verdict.REFUTED:
-            raise RuntimeError("internal error: a row-erasing removal kept a certificate")
-        return RobustVerdict(
-            RobustOutcome.REFUTED, checked=1, failing_removal=removal, reason=cert.note
-        )
-
-    need = budget.amount + unique
-    total = math.comb(len(pattern.observed), need)
-    if total > enumeration_cap:
-        return RobustVerdict(
-            RobustOutcome.INDETERMINATE,
-            reason=f"{total} removal patterns exceed the enumeration cap of {enumeration_cap}",
-        )
+        removals = [_row_erasing_removal(pattern, budget.amount + 1)]
 
     base = build_constraint_matrix(pattern, r)
     kept: list[frozenset[Cell]] = []  # cells of witnesses valid in `pattern`, most recent first
     last = None  # the latest positive certificate, which starts the next search
     checked = 0
-    for removal in enumerate_removals(pattern, need):
+    for removal in removals:
         checked += 1
         if any(removal.cells.isdisjoint(cells) for cells in kept):
             continue
@@ -209,6 +204,8 @@ def _verify(
         if cells is not None:
             kept.insert(0, cells)
             del kept[_KEPT_WITNESSES:]
+    if budget.kind != GLOBAL:
+        raise RuntimeError("internal error: a row-erasing removal kept a certificate")
     return RobustVerdict(positive, checked=checked)
 
 

@@ -122,9 +122,10 @@ class TestBounds:
         assert json.loads(text)["l_min"] == 275
 
     def test_bad_noise_spec_is_usage_error(self):
-        code, _ = invoke(["bounds", "--d", "10", "--r", "1", "--eps", "0.1",
-                          "--noise", "sideways:2"])
-        assert code == 64
+        for spec in ("sideways:2", "global", "global:x"):
+            code, _ = invoke(["bounds", "--d", "10", "--r", "1", "--eps", "0.1",
+                              "--noise", spec])
+            assert code == 64, spec
 
     def test_bound_beyond_ten_million_samples(self):
         code, text = invoke(
@@ -167,9 +168,11 @@ class TestSweep:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [["--rmax", "0"], ["--rmax", "-2"], ["--rmax", "3", "--g-list", ""],
-                                       ["--rmax", "3", "--g-list", ","]])
+                                       ["--rmax", "3", "--g-list", ","],
+                                       ["--rmax", "3", "--g-list", "1,x"]])
     def test_empty_sweep_is_usage_error(self, extra, capsys):
-        # a sweep with no rank or no noise level would print only the header
+        # a sweep with no rank or no noise level would print only the header;
+        # a noise level that is no integer is refused the same way
         code, text = invoke(["sweep", "--d", "60", "--N", "100", "--eps", "0.1", *extra])
         assert code == 64
         assert text == ""
@@ -190,6 +193,16 @@ class TestRank:
         code, text = invoke(["rank", "--pattern", str(p), "--format", "json"])
         assert code == 1
         assert json.loads(text)["r_star"] == 0
+
+    def test_capped_scan_exit_two(self, tmp_path):
+        p = tmp_path / "full.pat"
+        p.write_text(serialize_pattern(SamplingPattern.full(4, 3)))
+        code, text = invoke(["rank", "--pattern", str(p), "--noise", "global:1", "--cap", "0",
+                             "--format", "json"])
+        assert code == 2
+        doc = json.loads(text)
+        assert doc["exact"] is False
+        assert doc["r_star"] == 0
 
 
 class TestIdentify:
@@ -229,7 +242,8 @@ class TestIdentify:
         assert doc["best_residual"] is None
 
     @pytest.mark.parametrize(
-        "text", ["2 2\n0 0 1.0\n5 1 2.0\n", "0 2\n", "2 2\n0 0 1.0\n1 1 nan\n"]
+        "text", ["2 2\n0 0 1.0\n5 1 2.0\n", "0 2\n", "2 2\n0 0 1.0\n1 1 nan\n",
+                 "2 2 2\n0 0 1.0\n", "2 x\n0 0 1.0\n", "2 2\n0 0 one\n"]
     )
     def test_malformed_observation_file_is_data_error(self, tmp_path, text):
         path = tmp_path / "obs.txt"

@@ -142,6 +142,37 @@ class TestFit:
         fit = rank_r_fit(inst.observations(), pattern, r, 1e-6)
         assert (fit.residual, fit.iterations) == (residual, iterations)
 
+    # (seed, residual, iterations, admits) as above with column seed % N
+    # emptied, and on odd seeds row seed % d too, so that ALS solves for an
+    # unobserved line
+    RECORDED_EMPTY_LINE = [
+        (0, 1.183813712454313e-07, 4, True),
+        (1, 0.10938974332645497, 47, False),
+        (2, 0.05981177668784535, 13, False),
+        (3, 2.6258119603177227e-07, 6, True),
+        (4, 0.0653047020707221, 9, False),
+        (5, 0.0655283995138074, 77, False),
+        (6, 4.999088849740904e-07, 8, True),
+        (7, 0.010749146797233145, 14, False),
+    ]
+
+    @pytest.mark.parametrize("seed,residual,iterations,admits", RECORDED_EMPTY_LINE)
+    def test_fits_with_an_empty_line_are_bit_identical_to_recorded(
+        self, seed, residual, iterations, admits
+    ):
+        d, N, r = 6 + seed % 3, 9 + seed % 4, 1 + seed % 3
+        sampled = sim.sample_pattern(d, N, d - 1 - seed % 2, np.random.default_rng(seed))
+        pattern = SamplingPattern(d, N, frozenset(
+            (i, j) for i, j in sampled.observed if j != seed % N and (seed % 2 == 0 or i != seed % d)
+        ))
+        assert pattern.column_counts()[seed % N] == 0
+        assert all(i != seed % d for i, _ in pattern.observed) == (seed % 2 == 1)
+        inst = generate_instance(
+            d, N, r, NoiseBudget.global_noise(seed % 3), planted=True, seed=seed, pattern=pattern
+        )
+        fit = rank_r_fit(inst.observations(), pattern, r, 1e-6)
+        assert (fit.residual, fit.iterations, fit.admits) == (residual, iterations, admits)
+
 
 def _all(rows, cols):
     """A `needed` filter that keeps every column set."""

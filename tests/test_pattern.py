@@ -228,6 +228,8 @@ class TestValidation:
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
             SamplingPattern(0, 2, frozenset())
+        with pytest.raises(ValueError, match="outside a 2x2 grid"):
+            SamplingPattern(2, 2, frozenset({(5, 0)}))
 
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from robustmc import numeric
 from robustmc.bounds import BoundQuery, columnwise_noise_bound
 from robustmc.pattern import NoiseBudget, SamplingPattern
 from robustmc.rank import estimate_rank_ceiling, probabilistic_rank_premise, rank_dichotomy
-from robustmc.robust import verify_finite
+from robustmc.robust import RobustOutcome, verify_finite
 
 
 class TestCeiling:
@@ -36,6 +36,16 @@ class TestCeiling:
         pattern = SamplingPattern.from_cells(3, 2, [(0, 0), (0, 1)])
         ceiling = estimate_rank_ceiling(pattern, NoiseBudget.global_noise(0))
         assert ceiling.r_star == 0
+
+    def test_capped_scan_is_a_lower_bound(self):
+        # 12 one-cell removals exceed a cap of 0, so rank 1 is Indeterminate
+        ceiling = estimate_rank_ceiling(
+            SamplingPattern.full(4, 3), NoiseBudget.global_noise(1), enumeration_cap=0
+        )
+        assert ceiling.r_star == 0
+        assert ceiling.exact is False
+        assert list(ceiling.per_rank) == [1]
+        assert ceiling.per_rank[1].verdict == RobustOutcome.INDETERMINATE
 
 
 class TestDichotomy:

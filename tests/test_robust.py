@@ -393,6 +393,14 @@ class TestIdentify:
         with pytest.raises(ValueError, match=r"missing value for observed cell \(0, 1\)"):
             identify_noise_support({(0, 0): 1.0}, pattern, 1, 0)
 
+    @pytest.mark.parametrize(
+        "cells,s,message",
+        [([(0, 0)], -1, "noise budget must be non-negative"), ([], 0, "pattern has no observed cells")],
+    )
+    def test_negative_budget_or_empty_pattern_rejected(self, cells, s, message):
+        with pytest.raises(ValueError, match=message):
+            identify_noise_support({c: 1.0 for c in cells}, SamplingPattern(2, 2, frozenset(cells)), 1, s)
+
 
 def _fit_every_candidate(observations, pattern, r, s, tolerance):
     """Reference: fit every candidate by cardinality, then lexicographically."""
@@ -518,7 +526,8 @@ class TestObservationFormat:
     @pytest.mark.parametrize(
         "text",
         ["2 2\n5 0 1.5\n", "2 2\n0 -1 1.5\n", "0 2\n", "2 -3\n0 0 1.5\n",
-         "2 2\n0 0 nan\n", "2 2\n1 1 -inf\n"],
+         "2 2\n0 0 nan\n", "2 2\n1 1 -inf\n", "2 2 2\n0 0 1.5\n", "2 x\n0 0 1.5\n",
+         "2 2\n0 0 one\n"],
     )
     def test_bad_cell_header_or_value_rejected(self, text):
         with pytest.raises(PatternFormatError):
