@@ -4,10 +4,9 @@ from .bounds import (
     BoundQuery,
     BoundResult,
     CoupledBoundResult,
-    columnwise_noise_bound,
     coupled_columnwise_bound,
-    global_noise_bound,
-    noiseless_bound,
+    sample_bound,
+    sample_condition,
     sweep,
     sweep_to_csv,
 )

@@ -6,7 +6,9 @@ Three regimes share the shape "smallest integer l beating a max of branches":
   global s:    l - 12(r+s+1)*log(l/(r+s+1)) > max{12(log(d/eps)+r+s+1), 2r, 2r+s+1}
   per-column g: l - 12(g+1)*log(l/(g+1))    > max{12(log(d/eps)+g+1),   2r, r+g+1}
 
-The noisy left-hand sides are strictly increasing for l above 12*(r+s+1)
+A `BoundQuery`'s budget picks the regime (none, global s, per-column g):
+`sample_bound` returns the smallest such l and `sample_condition` checks one
+l.  The noisy left-hand sides are strictly increasing for l above 12*(r+s+1)
 (resp. 12*(g+1)), so a search from there by doubling, then bisection, is
 exact.  All bounds carry the premise r <= d/6; violations are flagged, never
 hidden.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .pattern import GLOBAL, PER_COLUMN, NoiseBudget
+from .pattern import GLOBAL, NoiseBudget
 
 
 @dataclass(frozen=True)
@@ -58,107 +60,77 @@ class BoundResult:
         return asdict(self)
 
 
-def _result(q: BoundQuery, l_min: int, branches: list[tuple[str, float]]) -> BoundResult:
-    """The bound at l_min; the binding branch is the first of the largest."""
-    binding = max(branches, key=lambda branch: branch[1])[0]
+def _inequality(q: BoundQuery) -> tuple[int | None, str, float]:
+    """m and the binding (first largest) right-hand branch, as (label, value).
+
+    The left-hand side is l when there is no budget (m None), otherwise
+    l - 12m*log(l/m).  The global and column-wise inequalities differ only in
+    m (r+s+1 or g+1) and in their third branch (2r+s+1 or r+g+1).
+    """
+    log_term = math.log(q.d / q.epsilon)
+    rank_branch = ("2r", float(2 * q.r))
+    if q.budget is None:
+        m, branches = None, [("12log(d/eps)+12", 12.0 * log_term + 12.0), rank_branch]
+    else:
+        a = q.budget.amount
+        if q.budget.kind == GLOBAL:
+            m, m_label, third, third_label = q.r + a + 1, "r+s+1", 2 * q.r + a + 1, "2r+s+1"
+        else:
+            m, m_label, third, third_label = a + 1, "g+1", q.r + a + 1, "r+g+1"
+        branches = [
+            (f"12(log(d/eps)+{m_label})", 12.0 * (log_term + m)),
+            rank_branch,
+            (third_label, float(third)),
+        ]
+    return m, *max(branches, key=lambda branch: branch[1])
+
+
+def _holds(l: int, m: int | None, threshold: float) -> bool:
+    return (l if m is None else l - 12.0 * m * math.log(l / m)) > threshold
+
+
+def sample_condition(l: int, q: BoundQuery) -> bool:
+    """Whether l satisfies the sample inequality of the query's noise regime."""
+    m, _, threshold = _inequality(q)
+    return _holds(l, m, threshold)
+
+
+def sample_bound(q: BoundQuery) -> BoundResult:
+    """Smallest integer l satisfying the query's sample inequality.
+
+    Noiseless, that is floor(max) + 1.  A noisy left-hand side increases for
+    l > 12m, so once the inequality holds it keeps holding: double l until it
+    holds, then bisect.  `lo` is never an answer (12m itself, or an l that
+    fails); `hi` always holds.
+    """
+    m, binding, threshold = _inequality(q)
+    if m is None:
+        hi = math.floor(threshold) + 1
+    else:
+        lo, hi = 12 * m, 12 * m + 1
+        while not _holds(hi, m, threshold):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _holds(mid, m, threshold) else (mid, hi)
     finite_ok = unique_ok = None
     if q.N is not None:
         finite_ok, unique_ok = q.N >= q.r * (q.d - q.r), q.N >= (q.r + 1) * (q.d - q.r)
-    return BoundResult(l_min, binding, l_min <= q.d, q.premise_ok, finite_ok, unique_ok)
-
-
-def noiseless_bound(q: BoundQuery) -> BoundResult:
-    """Smallest integer strictly above max{12*log(d/eps) + 12, 2r}."""
-    if q.budget is not None:
-        raise ValueError("noiseless bound takes no noise budget")
-    branches = [
-        ("12log(d/eps)+12", 12.0 * math.log(q.d / q.epsilon) + 12.0),
-        ("2r", float(2 * q.r)),
-    ]
-    threshold = max(value for _, value in branches)
-    return _result(q, math.floor(threshold) + 1, branches)
-
-
-def _noisy_branches(
-    d: int, epsilon: float, r: int, budget: NoiseBudget
-) -> tuple[int, list[tuple[str, float]]]:
-    """m and the labelled right-hand branches of a noisy sample inequality.
-
-    The global and column-wise inequalities differ only in m (r+s+1 or g+1)
-    and in their third branch (2r+s+1 or r+g+1).
-    """
-    a = budget.amount
-    if budget.kind == GLOBAL:
-        m, m_label, third, third_label = r + a + 1, "r+s+1", 2 * r + a + 1, "2r+s+1"
-    else:
-        m, m_label, third, third_label = a + 1, "g+1", r + a + 1, "r+g+1"
-    return m, [
-        (f"12(log(d/eps)+{m_label})", 12.0 * (math.log(d / epsilon) + m)),
-        ("2r", float(2 * r)),
-        (third_label, float(third)),
-    ]
-
-
-def _holds(l: int, m: int, branches: list[tuple[str, float]]) -> bool:
-    return l - 12.0 * m * math.log(l / m) > max(value for _, value in branches)
-
-
-def global_condition(l: int, d: int, epsilon: float, r: int, s: int) -> bool:
-    """Whether l satisfies the global-noise sample inequality."""
-    return _holds(l, *_noisy_branches(d, epsilon, r, NoiseBudget.global_noise(s)))
-
-
-def columnwise_condition(l: int, d: int, epsilon: float, r: int, g: int) -> bool:
-    """Whether l satisfies the column-wise-noise sample inequality."""
-    return _holds(l, *_noisy_branches(d, epsilon, r, NoiseBudget.per_column(g)))
-
-
-def _noisy_bound(q: BoundQuery) -> BoundResult:
-    """Smallest l above 12m satisfying the budget's noisy inequality.
-
-    The left-hand side increases for l > 12m, so once the inequality holds it
-    keeps holding: double l until it holds, then bisect.  `lo` is never an
-    answer (12m itself, or an l that fails); `hi` always holds.
-    """
-    m, branches = _noisy_branches(q.d, q.epsilon, q.r, q.budget)
-    lo, hi = 12 * m, 12 * m + 1
-    while not _holds(hi, m, branches):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _holds(mid, m, branches):
-            hi = mid
-        else:
-            lo = mid
-    return _result(q, hi, branches)
-
-
-def global_noise_bound(q: BoundQuery) -> BoundResult:
-    """Smallest l satisfying the global-noise inequality, from its monotone region."""
-    if q.budget is None or q.budget.kind != GLOBAL:
-        raise ValueError("query needs a global noise budget")
-    return _noisy_bound(q)
-
-
-def columnwise_noise_bound(q: BoundQuery) -> BoundResult:
-    """Smallest l satisfying the column-wise-noise inequality, from its monotone region."""
-    if q.budget is None or q.budget.kind != PER_COLUMN:
-        raise ValueError("query needs a per-column noise budget")
-    return _noisy_bound(q)
+    return BoundResult(hi, binding, hi <= q.d, q.premise_ok, finite_ok, unique_ok)
 
 
 def bound_for_budget(
     d: int, r: int, epsilon: float, budget: NoiseBudget | None, N: int | None = None
 ) -> BoundResult:
-    """Dispatch to the bound matching a verification budget.
+    """The bound matching a verification budget.
 
     A Global(0) budget is equivalent to the noiseless verification, so it maps
     to the noiseless bound; PerColumn(0) still removes one cell per column and
     keeps the column-wise bound.
     """
-    if budget is None or (budget.kind == GLOBAL and budget.amount == 0):
-        return noiseless_bound(BoundQuery(d, r, epsilon, N))
-    return _noisy_bound(BoundQuery(d, r, epsilon, N, budget))
+    if budget == NoiseBudget.global_noise(0):
+        budget = None
+    return sample_bound(BoundQuery(d, r, epsilon, N, budget))
 
 
 @dataclass(frozen=True)
@@ -185,9 +157,9 @@ def coupled_columnwise_bound(d: int, epsilon: float, r: int | None = None) -> Co
     """Column-wise bound at g = ceil(l0/r), r defaulting to ceil(log d)."""
     if r is None:
         r = math.ceil(math.log(d))
-    l0 = noiseless_bound(BoundQuery(d, r, epsilon)).l_min
+    l0 = sample_bound(BoundQuery(d, r, epsilon)).l_min
     g = math.ceil(l0 / r)
-    result = columnwise_noise_bound(BoundQuery(d, r, epsilon, budget=NoiseBudget.per_column(g)))
+    result = sample_bound(BoundQuery(d, r, epsilon, budget=NoiseBudget.per_column(g)))
     ratio = result.l_min / max(r, math.log(d))
     return CoupledBoundResult(d, r, g, l0, result, ratio)
 

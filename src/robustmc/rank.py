@@ -112,14 +112,6 @@ def probabilistic_rank_premise(
     N >= r'(d - r') is folded into the flag.
     """
     query = bounds.BoundQuery(d, r_prime, epsilon, N, NoiseBudget.per_column(g))
-    result = bounds.columnwise_noise_bound(query)
-    n_ok = N >= r_prime * (d - r_prime)
-    if l is None:
-        ok = result.feasible and result.premise_ok and n_ok
-    else:
-        ok = (
-            bounds.columnwise_condition(l, d, epsilon, r_prime, g)
-            and result.premise_ok
-            and n_ok
-        )
-    return ok, result
+    result = bounds.sample_bound(query)
+    ok = result.feasible if l is None else bounds.sample_condition(l, query)
+    return ok and result.premise_ok and N >= r_prime * (d - r_prime), result

@@ -11,9 +11,9 @@ import time
 from robustmc import certify, numeric, robust, sim
 from robustmc.bounds import (
     BoundQuery,
-    columnwise_condition,
     coupled_columnwise_bound,
-    noiseless_bound,
+    sample_bound,
+    sample_condition,
     sweep,
 )
 from robustmc.certify import CountCondition, Verdict, min_slack
@@ -128,8 +128,9 @@ def test_criterion_4_sweep_reproduction():
                 assert row.l_min > threshold
                 assert row.l_min - 1 <= threshold
             else:
-                assert columnwise_condition(row.l_min, 600, 0.01, row.r, row.g)
-                assert not columnwise_condition(row.l_min - 1, 600, 0.01, row.r, row.g)
+                query = BoundQuery(600, row.r, 0.01, budget=NoiseBudget.per_column(row.g))
+                assert sample_condition(row.l_min, query)
+                assert not sample_condition(row.l_min - 1, query)
         # hand-scanned spot values, natural log
         assert by_g[-1][10].l_min == 145
         assert by_g[-1][100].l_min == 201
@@ -145,7 +146,8 @@ def test_criterion_5_open_problem_asymptotics():
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
         for res in results:
             assert res.g == math.ceil(res.noiseless_l_min / res.r)
-            assert columnwise_condition(res.result.l_min, res.d, 0.01, res.r, res.g)
+            query = BoundQuery(res.d, res.r, 0.01, budget=NoiseBudget.per_column(res.g))
+            assert sample_condition(res.result.l_min, query)
 
 
 def test_criterion_6_monte_carlo_vs_theory():
@@ -154,7 +156,7 @@ def test_criterion_6_monte_carlo_vs_theory():
         d, N, r, eps, trials = 12, 24, 2, 0.1, 200
         budget = NoiseBudget.global_noise(0)
         result = sim.empirical_threshold(d, N, r, budget, eps, trials, seed=606)
-        theory = noiseless_bound(BoundQuery(d, r, eps, N)).l_min
+        theory = sample_bound(BoundQuery(d, r, eps, N)).l_min
         assert result.theory_l_min == theory
         assert result.threshold is not None
         assert result.threshold <= min(d, theory)

@@ -6,13 +6,10 @@ import pytest
 from robustmc.bounds import (
     BoundQuery,
     NOISELESS_SENTINEL,
-    columnwise_condition,
-    columnwise_noise_bound,
     coupled_columnwise_bound,
-    global_condition,
-    global_noise_bound,
-    noiseless_bound,
     parse_sweep_csv,
+    sample_bound,
+    sample_condition,
     sweep,
     sweep_to_csv,
 )
@@ -28,60 +25,57 @@ class TestNoiseless:
         # independent recomputation: 12*ln(600/0.01) + 12 = 144.025..., so 145
         direct = 12 * math.log(600 / 0.01) + 12
         assert math.floor(direct) + 1 == 145
-        res = noiseless_bound(q(600, 10, 0.01))
+        res = sample_bound(q(600, 10, 0.01))
         assert res.l_min == 145
         assert res.binding == "12log(d/eps)+12"
         assert res.feasible
 
     def test_reference_point_rank_bound(self):
-        res = noiseless_bound(q(600, 100, 0.01))
+        res = sample_bound(q(600, 100, 0.01))
         assert res.l_min == 201
         assert res.binding == "2r"
 
     def test_smaller_epsilon_needs_no_fewer_samples(self):
-        tight = noiseless_bound(q(600, 10, 0.001)).l_min
-        loose = noiseless_bound(q(600, 10, 0.01)).l_min
+        tight = sample_bound(q(600, 10, 0.001)).l_min
+        loose = sample_bound(q(600, 10, 0.01)).l_min
         assert tight >= loose
 
     def test_strictness_at_integral_threshold(self):
         # 2r is integral, so l must exceed it by a full step
-        res = noiseless_bound(q(600, 100, 0.5))
+        res = sample_bound(q(600, 100, 0.5))
         assert res.l_min == 201
 
     def test_premise_flagged_not_hidden(self):
-        res = noiseless_bound(q(10, 5, 0.1))
+        res = sample_bound(q(10, 5, 0.1))
         assert not res.premise_ok
         assert res.l_min > 0
 
     def test_n_requirements(self):
-        res = noiseless_bound(q(600, 10, 0.01, N=60000))
+        res = sample_bound(q(600, 10, 0.01, N=60000))
         assert res.finite_N_ok and res.unique_N_ok
-        res = noiseless_bound(q(600, 10, 0.01, N=100))
+        res = sample_bound(q(600, 10, 0.01, N=100))
         assert not res.finite_N_ok
 
 
 class TestGlobalNoise:
     def test_self_consistent_at_boundary(self):
-        res = global_noise_bound(q(600, 5, 0.01, budget=NoiseBudget.global_noise(2)))
-        assert global_condition(res.l_min, 600, 0.01, 5, 2)
-        assert not global_condition(res.l_min - 1, 600, 0.01, 5, 2)
+        query = q(600, 5, 0.01, budget=NoiseBudget.global_noise(2))
+        res = sample_bound(query)
+        assert sample_condition(res.l_min, query)
+        assert not sample_condition(res.l_min - 1, query)
 
     def test_zero_noise_dominates_noiseless(self):
         for r in (2, 5, 10):
-            noisy = global_noise_bound(q(600, r, 0.01, budget=NoiseBudget.global_noise(0))).l_min
-            clean = noiseless_bound(q(600, r, 0.01)).l_min
+            noisy = sample_bound(q(600, r, 0.01, budget=NoiseBudget.global_noise(0))).l_min
+            clean = sample_bound(q(600, r, 0.01)).l_min
             assert noisy >= clean
 
     def test_nondecreasing_in_s(self):
         values = [
-            global_noise_bound(q(600, 5, 0.01, budget=NoiseBudget.global_noise(s))).l_min
+            sample_bound(q(600, 5, 0.01, budget=NoiseBudget.global_noise(s))).l_min
             for s in range(5)
         ]
         assert values == sorted(values)
-
-    def test_budget_kind_enforced(self):
-        with pytest.raises(ValueError):
-            global_noise_bound(q(600, 5, 0.01, budget=NoiseBudget.per_column(1)))
 
 
 class TestColumnwiseNoise:
@@ -93,22 +87,22 @@ class TestColumnwiseNoise:
         while not (l - 24 * math.log(l / 2) > rhs):
             l += 1
         assert l == 275
-        res = columnwise_noise_bound(q(600, 10, 0.01, budget=NoiseBudget.per_column(1)))
-        assert res.l_min == 275
-        assert columnwise_condition(275, 600, 0.01, 10, 1)
-        assert not columnwise_condition(274, 600, 0.01, 10, 1)
+        query = q(600, 10, 0.01, budget=NoiseBudget.per_column(1))
+        assert sample_bound(query).l_min == 275
+        assert sample_condition(275, query)
+        assert not sample_condition(274, query)
 
     def test_zero_g_dominates_noiseless(self):
         for r in (2, 5, 10):
-            noisy = columnwise_noise_bound(
+            noisy = sample_bound(
                 q(600, r, 0.01, budget=NoiseBudget.per_column(0))
             ).l_min
-            clean = noiseless_bound(q(600, r, 0.01)).l_min
+            clean = sample_bound(q(600, r, 0.01)).l_min
             assert noisy >= clean
 
     def test_nondecreasing_in_g(self):
         values = [
-            columnwise_noise_bound(q(600, 10, 0.01, budget=NoiseBudget.per_column(g))).l_min
+            sample_bound(q(600, 10, 0.01, budget=NoiseBudget.per_column(g))).l_min
             for g in range(4)
         ]
         assert values == sorted(values)
@@ -126,24 +120,24 @@ class TestSearch:
     def test_matches_an_upward_scan(self):
         # the bound is the first l above 12m that satisfies the inequality
         kinds = (
-            (global_noise_bound, NoiseBudget.global_noise, global_condition, lambda r, a: r + a + 1),
-            (columnwise_noise_bound, NoiseBudget.per_column, columnwise_condition, lambda r, a: a + 1),
+            (NoiseBudget.global_noise, lambda r, a: r + a + 1),
+            (NoiseBudget.per_column, lambda r, a: a + 1),
         )
         grid = product(kinds, (10, 600, 10**5), (0.5, 1e-3), (1, 7), (0, 3))
-        for (bound, budget, condition, m), d, eps, r, a in grid:
+        for (budget, m), d, eps, r, a in grid:
+            query = q(d, r, eps, budget=budget(a))
             l = 12 * m(r, a) + 1
-            while not condition(l, d, eps, r, a):
+            while not sample_condition(l, query):
                 l += 1
-            assert bound(q(d, r, eps, budget=budget(a))).l_min == l, (d, eps, r, budget(a))
+            assert sample_bound(query).l_min == l, query
 
     def test_answers_beyond_ten_million(self):
-        res = columnwise_noise_bound(
-            q(6_000_000, 1_000_000, 0.01, budget=NoiseBudget.per_column(1_000_000))
-        )
+        query = q(6_000_000, 1_000_000, 0.01, budget=NoiseBudget.per_column(1_000_000))
+        res = sample_bound(query)
         assert res.l_min > 10_000_000
         assert not res.feasible
-        assert columnwise_condition(res.l_min, 6_000_000, 0.01, 1_000_000, 1_000_000)
-        assert not columnwise_condition(res.l_min - 1, 6_000_000, 0.01, 1_000_000, 1_000_000)
+        assert sample_condition(res.l_min, query)
+        assert not sample_condition(res.l_min - 1, query)
 
 
 class TestCoupled:
@@ -205,18 +199,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundQuery(10, 1, 0.0)
 
+    @pytest.mark.parametrize("d,r,N", [(0, 1, None), (5, 0, None), (5, 1, 0)])
+    def test_nonpositive_dimensions_rejected(self, d, r, N):
+        with pytest.raises(ValueError):
+            BoundQuery(d, r, 0.1, N=N)
+
+    @pytest.mark.parametrize("text", ["", "r,g,l_min\n1,-1,145\n"])
+    def test_malformed_sweep_csv_rejected(self, text):
+        with pytest.raises(ValueError, match="sweep header"):
+            parse_sweep_csv(text)
+
     def test_self_consistency_property_grid(self):
         for d in (60, 300):
             for r in (2, 5):
                 for s in (0, 2):
-                    res = global_noise_bound(
-                        q(d, r, 0.05, budget=NoiseBudget.global_noise(s))
-                    )
-                    assert global_condition(res.l_min, d, 0.05, r, s)
-                    assert not global_condition(res.l_min - 1, d, 0.05, r, s)
+                    query = q(d, r, 0.05, budget=NoiseBudget.global_noise(s))
+                    res = sample_bound(query)
+                    assert sample_condition(res.l_min, query)
+                    assert not sample_condition(res.l_min - 1, query)
                 for g in (0, 2):
-                    res = columnwise_noise_bound(
-                        q(d, r, 0.05, budget=NoiseBudget.per_column(g))
-                    )
-                    assert columnwise_condition(res.l_min, d, 0.05, r, g)
-                    assert not columnwise_condition(res.l_min - 1, d, 0.05, r, g)
+                    query = q(d, r, 0.05, budget=NoiseBudget.per_column(g))
+                    res = sample_bound(query)
+                    assert sample_condition(res.l_min, query)
+                    assert not sample_condition(res.l_min - 1, query)

@@ -130,6 +130,10 @@ class TestMinSlack:
         with pytest.raises(ValueError):
             CountCondition(3, 2)
 
+    def test_condition_rank_must_be_positive(self):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            CountCondition(0, 1)
+
 
 class TestValidateWitness:
     """validate_witness accepts exactly the origin-distinct subsets of nonnegative slack."""

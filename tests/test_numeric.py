@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robustmc import numeric, sim
+from robustmc.robust import identify_noise_support
 from robustmc.numeric import (
     batched_masked_rank_residuals,
     generate_instance,
@@ -64,6 +65,20 @@ class TestGenerate:
         with pytest.raises(ValueError, match="rank must be positive"):
             generate_instance(4, 4, 0)
 
+    @pytest.mark.parametrize(
+        "pattern,budget,message",
+        [
+            (SamplingPattern.full(4, 5), None, "pattern dimensions disagree"),
+            (SamplingPattern.from_cells(4, 4, [(0, 0), (1, 1)]), NoiseBudget.global_noise(3),
+             "noise budget exceeds the number of observed cells"),
+            (SamplingPattern.from_cells(4, 4, [(0, 0), (1, 0)]), NoiseBudget.per_column(1),
+             "column 1 cannot host 1 noisy cells"),
+        ],
+    )
+    def test_pattern_and_budget_checked_against_the_grid(self, pattern, budget, message):
+        with pytest.raises(ValueError, match=message):
+            generate_instance(4, 4, 1, budget, pattern=pattern, planted=True, seed=0)
+
 
 class TestFit:
     def test_noiseless_planted_fits(self):
@@ -114,6 +129,25 @@ class TestFit:
         p = SamplingPattern.from_cells(3, 3, [(0, 0)])
         fit = rank_r_fit({(0, 0): 0.0}, p, 1)
         assert fit.residual == 0.0
+
+    def test_all_zero_observations_fit_without_a_sweep(self):
+        p = SamplingPattern.full(4, 5)
+        zeros = dict.fromkeys(p.cells(), 0.0)
+        assert rank_r_fit(zeros, p, 2) == numeric.FitResult(0.0, 0, True)
+        assert identify_noise_support(zeros, p, 2, 1) == frozenset()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda obs, p: rank_r_fit(obs, p, 0),
+            lambda obs, p: next(iter_nonvanishing_minors(obs, p, 0, 1e-6, _all)),
+        ],
+        ids=["rank_r_fit", "iter_nonvanishing_minors"],
+    )
+    def test_rank_zero_rejected(self, call):
+        p = SamplingPattern.full(3, 3)
+        with pytest.raises(ValueError, match="rank must be positive"):
+            call(dict.fromkeys(p.cells(), 1.0), p)
 
     # (seed, residual, iterations) on seeded partial patterns, rank 1-3 and 0-2
     # noisy cells, recorded while every ALS sweep still rebuilt its index arrays

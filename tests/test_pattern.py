@@ -225,6 +225,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseBudget.global_noise(-1)
 
+    def test_unknown_budget_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown budget kind 'rowwise'"):
+            NoiseBudget("rowwise", 1)
+
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            build_constraint_matrix(SamplingPattern.full(3, 3), 0)
+
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
             SamplingPattern(0, 2, frozenset())

@@ -1,7 +1,7 @@
 import pytest
 
 from robustmc import numeric
-from robustmc.bounds import BoundQuery, columnwise_noise_bound
+from robustmc.bounds import BoundQuery, sample_bound
 from robustmc.pattern import NoiseBudget, SamplingPattern
 from robustmc.rank import estimate_rank_ceiling, probabilistic_rank_premise, rank_dichotomy
 from robustmc.robust import RobustOutcome, verify_finite
@@ -61,6 +61,10 @@ class TestDichotomy:
         report = rank_dichotomy(self._ceiling(), 2, completion_found=None)
         assert report.alternative == "ii"
 
+    def test_nonpositive_r_prime_rejected(self):
+        with pytest.raises(ValueError, match="r_prime must be positive"):
+            rank_dichotomy(self._ceiling(), 0)
+
     def test_r_prime_above_ceiling_rejected(self):
         ceiling = self._ceiling()
         with pytest.raises(ValueError):
@@ -74,7 +78,7 @@ class TestDichotomy:
 class TestProbabilisticPremise:
     def test_delegates_to_columnwise_bound(self):
         ok, result = probabilistic_rank_premise(600, 60000, 0.01, 1, 10)
-        direct = columnwise_noise_bound(
+        direct = sample_bound(
             BoundQuery(600, 10, 0.01, 60000, NoiseBudget.per_column(1))
         )
         assert result.l_min == direct.l_min

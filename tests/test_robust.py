@@ -519,6 +519,10 @@ class TestObservationFormat:
         with pytest.raises(PatternFormatError):
             parse_observations("2 2\n0 0\n")
 
+    def test_missing_value_not_serialized(self):
+        with pytest.raises(ValueError, match=r"missing value for observed cell \(1, 1\)"):
+            serialize_observations(SamplingPattern.full(2, 2), {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0})
+
     def test_duplicate_rejected(self):
         with pytest.raises(PatternFormatError):
             parse_observations("2 2\n0 0 1.5\n0 0 2.5\n")

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from robustmc.bounds import BoundQuery, noiseless_bound
+from robustmc.bounds import BoundQuery, sample_bound
 from robustmc.pattern import NoiseBudget
 from robustmc.sim import (
     DEFAULT_TRIAL_ENUMERATION_CAP,
@@ -97,7 +97,7 @@ class TestThreshold:
         result = empirical_threshold(
             8, 16, 2, NoiseBudget.global_noise(0), epsilon=0.1, trials=40, seed=3
         )
-        theory = noiseless_bound(BoundQuery(8, 2, 0.1, 16)).l_min
+        theory = sample_bound(BoundQuery(8, 2, 0.1, 16)).l_min
         assert result.theory_l_min == theory
         assert result.threshold is not None
         assert result.threshold <= min(8, theory)
@@ -137,6 +137,10 @@ class TestValidation:
     def test_l_bounds_enforced(self):
         with pytest.raises(ValueError):
             TrialConfig(4, 4, 1, 5, NoiseBudget.global_noise(0), trials=1, seed=0)
+
+    def test_trials_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            TrialConfig(4, 4, 1, 2, NoiseBudget.global_noise(0), trials=0, seed=0)
 
     def test_target_restricted(self):
         with pytest.raises(ValueError):
