@@ -10,8 +10,8 @@ A `BoundQuery`'s budget picks the regime (none, global s, per-column g):
 `sample_bound` returns the smallest such l and `sample_condition` checks one
 l.  The noisy left-hand sides are strictly increasing for l above 12*(r+s+1)
 (resp. 12*(g+1)), so a search from there by doubling, then bisection, is
-exact.  All bounds carry the premise r <= d/6; violations are flagged, never
-hidden.
+exact; no smaller l satisfies a noisy inequality.  All bounds carry the
+premise r <= d/6; violations are flagged, never hidden.
 """
 
 from __future__ import annotations
@@ -86,7 +86,12 @@ def _inequality(q: BoundQuery) -> tuple[int | None, str, float]:
 
 
 def _holds(l: int, m: int | None, threshold: float) -> bool:
-    return (l if m is None else l - 12.0 * m * math.log(l / m)) > threshold
+    if m is None:
+        return l > threshold
+    # the noisy inequality speaks of l > 12m only: below m its left-hand side
+    # grows again as l falls and would pass a tiny l (from m to 12m it stays
+    # under m < threshold, so only an l below m loses its pass)
+    return l > 12 * m and l - 12.0 * m * math.log(l / m) > threshold
 
 
 def sample_condition(l: int, q: BoundQuery) -> bool:

@@ -6,14 +6,17 @@ on a positive verdict.  Certificates are decided exactly, so a trial is
 Indeterminate only when its removal enumeration exceeds the cap; that counts
 as a failure, so every reported rate is conservative.  Per-trial RNG streams
 derive from (seed, trial index), making results independent of any execution
-schedule.
+schedule.  A trial's pattern is the one N successive calls
+`rng.choice(d, size=l, replace=False)` would draw, replayed for all columns
+at once from raw 32-bit words (exact wherever choice uses Floyd's algorithm:
+d <= 10,000 or l <= d // 50), so it depends only on the bit generator's words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -68,11 +71,42 @@ def wilson_interval(passes: int, trials: int) -> tuple[float, float]:
 
 
 def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
-    """Exactly l distinct observed rows per column, uniform."""
-    cells = []
-    for j in range(N):
-        cells += zip(rng.choice(d, size=l, replace=False).tolist(), repeat(j))
-    return SamplingPattern(d, N, frozenset(cells))
+    """Exactly l distinct observed rows per column, uniform.
+
+    Column j holds the rows that the j-th of N successive calls
+    `rng.choice(d, size=l, replace=False)` would return, and the generator
+    ends in the state those calls leave, wherever choice uses Floyd's
+    algorithm: d <= 10,000 or l <= d // 50.  Above that choice shuffles a
+    range instead; the pattern stays uniform, but its stream differs.  All
+    columns are drawn at once: one bulk draw of raw 32-bit words replays
+    choice's Lemire multiply-shift draws, rejections included, and Floyd's
+    rule then runs over the columns together.
+    """
+    if not 0 <= l <= d <= 2**32:
+        raise ValueError("need 0 <= l <= d <= 2**32")  # beyond 2**32 numpy draws 64-bit words
+    # one column's exclusive bounds: Floyd's step j draws below j+1 (j = 0 draws
+    # nothing), then choice's shuffle draws below l, ..., 2.  A pattern keeps no
+    # order, so the shuffle's draws are consumed but never applied.
+    floyd = np.arange(max(d - l, 1) + 1, d + 1, dtype=np.uint64)
+    column = np.concatenate([floyd, np.arange(l, 1, -1, dtype=np.uint64)])
+    bound, threshold = np.tile(column, N), np.tile(2**32 % column, N)
+    word = rng.integers(0, 2**32, size=bound.size, dtype=np.uint32).astype(np.uint64)
+    scaled = word * bound
+    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < threshold)
+    while rejected.size:
+        # numpy drops a rejected word and draws the next one for the same bound
+        at = rejected[0]
+        extra = rng.integers(0, 2**32, size=1, dtype=np.uint32)
+        word = np.concatenate([word[:at], word[at + 1 :], extra])  # stays uint64
+        scaled[at:] = word[at:] * bound[at:]
+        rejected = at + np.flatnonzero((scaled[at:] & 0xFFFFFFFF) < threshold[at:])
+    picks = np.zeros((N, l), dtype=np.uint64)  # step j = 0, if taken, picks row 0
+    picks[:, l - floyd.size :] = (scaled >> 32).reshape(N, column.size)[:, : floyd.size]
+    for k in range(1, l):
+        # Floyd: a pick repeating an earlier one of its column becomes j itself
+        picks[(picks[:, :k] == picks[:, k, None]).any(axis=1), k] = d - l + k
+    columns = chain.from_iterable(map(repeat, range(N), repeat(l)))
+    return SamplingPattern(d, N, frozenset(zip(picks.ravel().tolist(), columns)))
 
 
 def estimate_pass_probability(cfg: TrialConfig) -> TrialOutcome:

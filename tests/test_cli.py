@@ -292,6 +292,30 @@ class TestSimulate:
         )
         assert code == 64
 
+    def test_readme_commands_pinned(self):
+        # README's two simulate commands; every trial draws its pattern from
+        # the sampler's stream, so a change to that stream shows here
+        base = ["simulate", "--d", "12", "--N", "24", "--r", "2", "--trials", "200", "--seed", "1"]
+        header = "l,pass,trials,estimate,ci_lo,ci_hi,theory_lmin\n"
+        assert invoke(base + ["--l", "6"]) == (
+            0, header + "6,200,200,1.000000,0.981155,1.000000,70\n"
+        )
+        assert invoke(base + ["--scan", "--eps", "0.1"]) == (
+            0,
+            header
+            + "2,0,200,0.000000,0.000000,0.018845,70\n"
+            + "3,169,200,0.845000,0.788393,0.888604,70\n"
+            + "4,199,200,0.995000,0.972226,0.999117,70\n"
+            + "# threshold=4 theory_capped=12\n",
+        )
+
+    def test_rows_beyond_32_bits_rejected(self):
+        code, _ = invoke(
+            ["simulate", "--d", str(2**32 + 1), "--N", "2", "--r", "1", "--l", "2",
+             "--trials", "1"]
+        )
+        assert code == 64
+
     def test_scan_mode(self):
         code, text = invoke(
             ["simulate", "--d", "6", "--N", "10", "--r", "2", "--scan",

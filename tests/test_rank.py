@@ -1,7 +1,7 @@
 import pytest
 
 from robustmc import numeric
-from robustmc.bounds import BoundQuery, sample_bound
+from robustmc.bounds import BoundQuery, sample_bound, sample_condition
 from robustmc.pattern import NoiseBudget, SamplingPattern
 from robustmc.rank import estimate_rank_ceiling, probabilistic_rank_premise, rank_dichotomy
 from robustmc.robust import RobustOutcome, verify_finite
@@ -99,6 +99,15 @@ class TestProbabilisticPremise:
         ok_at_lmin, _ = probabilistic_rank_premise(600, 60000, 0.01, 1, 10, l=result.l_min)
         ok_below, _ = probabilistic_rank_premise(600, 60000, 0.01, 1, 10, l=result.l_min - 1)
         assert ok_at_lmin and not ok_below
+
+    def test_tiny_l_below_twelve_m_rejected(self):
+        # l - 12m*log(l/m) grows again as l falls below m = g+1 = 21, so l = 1..4
+        # beat the threshold of a bound whose l_min is 1452
+        query = BoundQuery(600, 1, 0.01, 60000, NoiseBudget.per_column(20))
+        assert not any(sample_condition(l, query) for l in range(1, 5))
+        ok, result = probabilistic_rank_premise(600, 60000, 0.01, g=20, r_prime=1, l=2)
+        assert not ok
+        assert (result.l_min, result.feasible) == (1452, False)
 
 
 class TestPlantedDichotomy:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from robustmc.bounds import BoundQuery, sample_bound
@@ -75,21 +76,61 @@ class TestEstimate:
         assert outcome.pass_count == 5
 
     def test_sampled_patterns_have_exactly_l_rows_per_column(self):
-        import numpy as np
-
         pattern = sample_pattern(7, 5, 3, np.random.default_rng(3))
         assert pattern.column_counts() == [3] * 5
 
     def test_sampling_stream_is_pinned(self):
-        # one rng.choice per column; any change to the draws changes every
-        # simulate result, so it must show here first
-        import numpy as np
-
+        # the rows of one rng.choice per column, replayed from raw 32-bit words;
+        # any change to the draws changes every simulate result, so it must
+        # show here first
         pattern = sample_pattern(6, 4, 3, np.random.default_rng(0))
         assert sorted(pattern.observed) == [
             (0, 1), (2, 2), (2, 3), (3, 0), (3, 2), (3, 3),
             (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 3),
         ]
+
+
+def _choice_per_column(d, N, l, rng):
+    """Reference sampler: one rng.choice(d, size=l, replace=False) per column."""
+    return frozenset(
+        (i, j) for j in range(N) for i in rng.choice(d, size=l, replace=False).tolist()
+    )
+
+
+# the benchmark's shapes, then l = d, l = 1, l = 0, a long column, the largest
+# d with 32-bit draws, and a d where numpy rejects about a quarter of the words
+CHOICE_SHAPES = [(20, 600, l) for l in range(4, 21)] + [
+    (8, 16, 3), (8, 32, 5), (32, 93, 12), (9, 7, 9), (9, 7, 1), (9, 7, 0),
+    (10000, 2, 400), (2**32, 5, 3), (3 * 2**30, 40, 2),
+]
+
+
+class TestSampler:
+    @pytest.mark.parametrize("d, N, l", CHOICE_SHAPES)
+    def test_matches_choice_per_column(self, d, N, l):
+        for seed in range(4):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_pattern(d, N, l, fast).observed == _choice_per_column(d, N, l, slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_rejected_words_are_redrawn(self):
+        # one word per bound would leave the generator where this plain draw
+        # does; at d = 3 * 2**30 some words are rejected and redrawn
+        d, N, l = 3 * 2**30, 40, 2
+        rng, plain = np.random.default_rng(0), np.random.default_rng(0)
+        sample_pattern(d, N, l, rng)
+        plain.integers(0, 2**32, size=N * (2 * l - 1), dtype=np.uint32)
+        assert rng.bit_generator.state != plain.bit_generator.state
+
+    def test_distinct_rows_where_choice_shuffles_instead(self):
+        # l > d // 50 with d > 10,000: choice shuffles a range, Floyd still runs here
+        pattern = sample_pattern(10_001, 3, 201, np.random.default_rng(0))
+        assert pattern.column_counts() == [201] * 3
+
+    @pytest.mark.parametrize("d, l", [(5, 6), (5, -1), (2**32 + 1, 2)])
+    def test_out_of_range_rejected(self, d, l):
+        with pytest.raises(ValueError):
+            sample_pattern(d, 3, l, np.random.default_rng(0))
 
 
 class TestThreshold:
