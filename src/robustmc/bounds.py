@@ -222,23 +222,3 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def parse_sweep_csv(text: str) -> list[SweepRow]:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != SWEEP_HEADER:
-        raise ValueError("missing or malformed sweep header")
-    rows = []
-    for line in lines[1:]:
-        r, g, l_min, portion, binding, feasible, premise_ok = line.split(",")
-        rows.append(
-            SweepRow(
-                int(r),
-                int(g),
-                int(l_min),
-                float(portion),
-                binding,
-                feasible == "true",
-                premise_ok == "true",
-            )
-        )
-    return rows

@@ -105,7 +105,7 @@ def generate_instance(
         else:
             support = []
             for j in range(N):
-                col = pattern.column_rows(j)
+                col = pattern.columns[j]
                 size = budget.amount if planted else int(rng.integers(0, budget.amount + 1))
                 if size > len(col):
                     raise ValueError(f"column {j} cannot host {size} noisy cells")

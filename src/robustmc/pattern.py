@@ -1,19 +1,20 @@
 """Sampling patterns, noise budgets, entry removals, and the derived constraint columns.
 
-A sampling pattern is a d-by-N binary observation mask stored as an explicit
-set of (row, col) cells.  From a pattern and a rank r we derive a binary
-"constraint matrix": for every data column with l observed rows
-x_1 < ... < x_l it contributes max(l - r, 0) columns, the j-th carrying ones
-exactly at rows {x_1, ..., x_r, x_{r+j}}.  All certificate machinery operates
-on these columns.
+A sampling pattern is a d-by-N binary observation mask stored column by
+column: column j holds its observed rows in ascending order.  From a pattern
+and a rank r we derive a binary "constraint matrix": for every data column
+with l observed rows x_1 < ... < x_l it contributes max(l - r, 0) columns,
+the j-th carrying ones exactly at rows {x_1, ..., x_r, x_{r+j}}.  All
+certificate machinery operates on these columns.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
@@ -25,46 +26,47 @@ class PatternFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SamplingPattern:
-    """Binary d-by-N observation mask as an explicit set of zero-based cells."""
+    """Binary d-by-N observation mask: `columns[j]` holds column j's observed
+    rows, strictly ascending within [0, d); N is the number of columns."""
 
     d: int
-    N: int
-    observed: frozenset[Cell]
-    # observed rows of each column, ascending; derived, so not compared or hashed
-    _rows_by_column: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.d <= 0 or self.N <= 0:
+        columns = tuple(map(tuple, self.columns))
+        object.__setattr__(self, "columns", columns)
+        if self.d <= 0 or not columns:
             raise ValueError("pattern dimensions must be positive")
-        object.__setattr__(self, "observed", frozenset(self.observed))
-        rows: list[list[int]] = [[] for _ in range(self.N)]
-        for i, j in self.observed:
-            if not (0 <= i < self.d and 0 <= j < self.N):
-                raise ValueError(f"cell ({i}, {j}) outside a {self.d}x{self.N} grid")
-            rows[j].append(i)
-        object.__setattr__(self, "_rows_by_column", tuple(tuple(sorted(col)) for col in rows))
+        for j, rows in enumerate(columns):
+            if rows and not (0 <= rows[0] and rows[-1] < self.d and all(map(lt, rows, rows[1:]))):
+                raise ValueError(f"column {j}: rows must ascend strictly within [0, {self.d})")
+
+    @property
+    def N(self) -> int:
+        return len(self.columns)
 
     @classmethod
     def from_cells(cls, d: int, N: int, cells: Iterable[Cell]) -> "SamplingPattern":
-        cells = list(cells)
-        if len(set(cells)) != len(cells):
-            raise ValueError("duplicate observed cells")
-        return cls(d, N, frozenset(cells))
+        """The pattern observing `cells`; cells outside the grid and repeated
+        cells raise ValueError."""
+        rows: list[list[int]] = [[] for _ in range(N)]
+        for i, j in cells:
+            if not (0 <= i < d and 0 <= j < N):
+                raise ValueError(f"cell ({i}, {j}) outside a {d}x{N} grid")
+            rows[j].append(i)
+        return cls(d, tuple(tuple(sorted(col)) for col in rows))
 
     @classmethod
     def full(cls, d: int, N: int) -> "SamplingPattern":
-        return cls(d, N, frozenset((i, j) for i in range(d) for j in range(N)))
+        return cls(d, (tuple(range(d)),) * N)
 
     def cells(self) -> tuple[Cell, ...]:
         """Observed cells in canonical ascending (row, col) order."""
-        return tuple(sorted(self.observed))
+        return tuple(sorted((i, j) for j, rows in enumerate(self.columns) for i in rows))
 
-    def column_rows(self, j: int) -> tuple[int, ...]:
-        """Observed row indices of column j, ascending."""
-        return self._rows_by_column[j]
-
-    def column_counts(self) -> list[int]:
-        return [len(rows) for rows in self._rows_by_column]
+    def size(self) -> int:
+        """The number of observed cells."""
+        return sum(map(len, self.columns))
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,8 @@ def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatri
     if r < 1:
         raise ValueError("rank must be positive")
     columns, origins = [], []
-    for j in range(pattern.N):
-        fresh = _constraint_columns(pattern.column_rows(j), r)
+    for j, rows in enumerate(pattern.columns):
+        fresh = _constraint_columns(rows, r)
         columns += fresh
         origins += [j] * len(fresh)
     return ConstraintMatrix(pattern.d, r, tuple(columns), tuple(origins))
@@ -162,7 +164,7 @@ def rebuild_origins(
         # from a list, not a generator: CPython keeps the block of a freed
         # tuple that was grown by resizing on the free list for its length,
         # and over many removals those lists fill and raise peak RSS
-        rows = tuple([i for i in pattern.column_rows(j) if (i, j) not in cells])
+        rows = tuple([i for i in pattern.columns[j] if (i, j) not in cells])
         fresh = _constraint_columns(rows, cm.r)
         columns[lo:hi] = fresh
         origins[lo:hi] = [j] * len(fresh)
@@ -171,22 +173,26 @@ def rebuild_origins(
 
 def remove_entries(pattern: SamplingPattern, removal: RemovalSet) -> SamplingPattern:
     """Delete the removal cells from the pattern; every cell must be observed.
-    An empty removal returns the pattern itself."""
+    An empty removal returns the pattern itself; otherwise only the columns
+    the removal touches are rebuilt."""
     cells = removal.cells
     if not cells:
         return pattern
-    missing = cells - pattern.observed
+    missing = [(i, j) for i, j in cells if not (0 <= j < pattern.N and i in pattern.columns[j])]
     if missing:
         raise ValueError(f"removal contains unobserved cells: {sorted(missing)[:4]}")
-    return SamplingPattern(pattern.d, pattern.N, pattern.observed - cells)
+    columns = list(pattern.columns)
+    for j in {j for _, j in cells}:
+        columns[j] = tuple([i for i in columns[j] if (i, j) not in cells])
+    return SamplingPattern(pattern.d, tuple(columns))
 
 
 def enumerate_removals(pattern: SamplingPattern, size: int) -> Iterator[RemovalSet]:
     """Stream all comb(|observed|, size) `size`-subsets of the observed cells,
     in lexicographic order; size 0 yields the one empty removal, without
     sorting the cells.  Raises ValueError unless 0 <= size <= |observed|."""
-    if not 0 <= size <= len(pattern.observed):
-        raise ValueError(f"cannot remove {size} of {len(pattern.observed)} observed cells")
+    if not 0 <= size <= pattern.size():
+        raise ValueError(f"cannot remove {size} of {pattern.size()} observed cells")
     for cells in combinations(pattern.cells() if size else (), size):
         yield RemovalSet(frozenset(cells))
 
@@ -248,7 +254,7 @@ def read_cell_lines(text: str, with_values: bool) -> tuple[int, int, dict[Cell, 
 def parse_pattern(text: str) -> SamplingPattern:
     """Parse the pattern text format (see `read_cell_lines`)."""
     d, N, entries = read_cell_lines(text, with_values=False)
-    return SamplingPattern(d, N, frozenset(entries))
+    return SamplingPattern.from_cells(d, N, entries)
 
 
 def load_pattern(path) -> SamplingPattern:

@@ -112,7 +112,7 @@ def premise_floor(r: int, budget: NoiseBudget, unique: bool) -> int:
 
 def _premise_failure(pattern: SamplingPattern, r: int, budget: NoiseBudget, unique: bool) -> str | None:
     floor = premise_floor(r, budget, unique)
-    for j, l in enumerate(pattern.column_counts()):
+    for j, l in enumerate(map(len, pattern.columns)):
         if l < floor:
             return f"column {j} has {l} observed entries; the premise needs at least {floor}"
     return None
@@ -125,7 +125,7 @@ def _row_erasing_removal(pattern: SamplingPattern, need: int) -> RemovalSet:
     so this removal empties that row.
     """
     return RemovalSet(
-        frozenset((i, j) for j in range(pattern.N) for i in pattern.column_rows(j)[:need])
+        frozenset((i, j) for j, rows in enumerate(pattern.columns) for i in rows[:need])
     )
 
 
@@ -145,7 +145,7 @@ def _witness_cells(
     for witness in (cert.finite_witness, cert.unique_witness):
         for c in witness or ():
             j, rows = cm.origins[c], cm.columns[c]
-            if rows[:r] != pattern.column_rows(j)[:r]:
+            if rows[:r] != pattern.columns[j][:r]:
                 return None
             cells.update((i, j) for i in rows)
     return frozenset(cells)
@@ -170,7 +170,7 @@ def _verify(
     certificate = certify.find_unique_certificate if unique else certify.find_finite_certificate
     if budget.kind == GLOBAL:
         need = budget.amount + unique
-        total = math.comb(len(pattern.observed), need)
+        total = math.comb(pattern.size(), need)
         if total > enumeration_cap:
             return RobustVerdict(
                 RobustOutcome.INDETERMINATE,
@@ -388,7 +388,7 @@ def identify_noise_support(
         raise ValueError("noise budget must be non-negative")
     if not 0 <= fit_tolerance < np.inf:
         raise ValueError("fit tolerance must be finite and non-negative")
-    if not pattern.observed:
+    if not pattern.size():
         raise ValueError("pattern has no observed cells")
 
     probed: dict[frozenset[Cell], bool] = {}  # sole live sets: spectral start admits?
@@ -408,19 +408,23 @@ def identify_noise_support(
 
 
 def serialize_observations(pattern: SamplingPattern, values: dict[Cell, float]) -> str:
-    """Text form: `d N` header then one `row col value` line per cell, ascending."""
+    """Text form: `d N` header then one `row col value` line per cell, ascending.
+    A missing or non-finite value raises ValueError."""
     lines = [f"{pattern.d} {pattern.N}"]
     for cell in pattern.cells():
         if cell not in values:
             raise ValueError(f"missing value for observed cell {cell}")
-        lines.append(f"{cell[0]} {cell[1]} {values[cell]!r}")
+        value = float(values[cell])
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r} for cell {cell}")
+        lines.append(f"{cell[0]} {cell[1]} {value!r}")
     return "\n".join(lines) + "\n"
 
 
 def parse_observations(text: str) -> tuple[SamplingPattern, dict[Cell, float]]:
     """Parse the observation text format (see `pattern.read_cell_lines`)."""
     d, N, values = read_cell_lines(text, with_values=True)
-    return SamplingPattern(d, N, frozenset(values)), values
+    return SamplingPattern.from_cells(d, N, values), values
 
 
 def load_observations(path) -> tuple[SamplingPattern, dict[Cell, float]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -85,8 +84,8 @@ def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
     if not 0 <= l <= d <= 2**32:
         raise ValueError("need 0 <= l <= d <= 2**32")  # beyond 2**32 numpy draws 64-bit words
     # one column's exclusive bounds: Floyd's step j draws below j+1 (j = 0 draws
-    # nothing), then choice's shuffle draws below l, ..., 2.  A pattern keeps no
-    # order, so the shuffle's draws are consumed but never applied.
+    # nothing), then choice's shuffle draws below l, ..., 2.  A pattern's columns
+    # are sorted, so the shuffle's draws are consumed but never applied.
     floyd = np.arange(max(d - l, 1) + 1, d + 1, dtype=np.uint64)
     column = np.concatenate([floyd, np.arange(l, 1, -1, dtype=np.uint64)])
     bound, threshold = np.tile(column, N), np.tile(2**32 % column, N)
@@ -105,8 +104,8 @@ def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
     for k in range(1, l):
         # Floyd: a pick repeating an earlier one of its column becomes j itself
         picks[(picks[:, :k] == picks[:, k, None]).any(axis=1), k] = d - l + k
-    columns = chain.from_iterable(map(repeat, range(N), repeat(l)))
-    return SamplingPattern(d, N, frozenset(zip(picks.ravel().tolist(), columns)))
+    picks.sort(axis=1)
+    return SamplingPattern(d, tuple(map(tuple, picks.tolist())))
 
 
 def estimate_pass_probability(cfg: TrialConfig) -> TrialOutcome:

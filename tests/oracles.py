@@ -1,4 +1,5 @@
-"""Reference implementations the tests compare the library against."""
+"""Reference implementations the tests compare the library against, and a
+reader for the sweep CSV the library only writes."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from robustmc.bounds import SWEEP_HEADER, SweepRow
 from robustmc.certify import CountCondition
 from robustmc.pattern import ConstraintMatrix
 
@@ -54,3 +56,23 @@ def min_slack_exhaustive(cm: ConstraintMatrix, subset: Sequence[int], cond: Coun
             best = value
     return best
 
+
+def parse_sweep_csv(text: str) -> list[SweepRow]:
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or lines[0] != SWEEP_HEADER:
+        raise ValueError("missing or malformed sweep header")
+    rows = []
+    for line in lines[1:]:
+        r, g, l_min, portion, binding, feasible, premise_ok = line.split(",")
+        rows.append(
+            SweepRow(
+                int(r),
+                int(g),
+                int(l_min),
+                float(portion),
+                binding,
+                feasible == "true",
+                premise_ok == "true",
+            )
+        )
+    return rows

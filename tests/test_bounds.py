@@ -7,13 +7,14 @@ from robustmc.bounds import (
     BoundQuery,
     NOISELESS_SENTINEL,
     coupled_columnwise_bound,
-    parse_sweep_csv,
     sample_bound,
     sample_condition,
     sweep,
     sweep_to_csv,
 )
 from robustmc.pattern import NoiseBudget
+
+from oracles import parse_sweep_csv
 
 
 def q(d, r, eps, N=None, budget=None):

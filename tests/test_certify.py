@@ -421,7 +421,7 @@ def _row_column_graph_connected(pattern):
             x = parent[x]
         return x
 
-    for i, j in pattern.observed:
+    for i, j in pattern.cells():
         parent[find(i)] = find(pattern.d + j)
     return len({find(x) for x in range(len(parent))}) == 1
 

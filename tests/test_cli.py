@@ -9,10 +9,11 @@ import pytest
 
 import robustmc
 from robustmc import numeric, sim
-from robustmc.bounds import parse_sweep_csv
 from robustmc.cli import run
 from robustmc.pattern import NoiseBudget, SamplingPattern, serialize_pattern
 from robustmc.robust import serialize_observations
+
+from oracles import parse_sweep_csv
 
 
 def invoke(argv):

@@ -120,7 +120,7 @@ class TestFit:
         prow = rng.permutation(6)
         pcol = rng.permutation(9)
         perm_obs = {(int(prow[i]), int(pcol[j])): v for (i, j), v in obs.items()}
-        perm_pattern = SamplingPattern(6, 9, frozenset(perm_obs))
+        perm_pattern = SamplingPattern.from_cells(6, 9, perm_obs)
         a = rank_r_fit(obs, inst.pattern, 2, tolerance=1e-9)
         b = rank_r_fit(perm_obs, perm_pattern, 2, tolerance=1e-9)
         assert abs(a.residual - b.residual) < 1e-6
@@ -196,11 +196,11 @@ class TestFit:
     ):
         d, N, r = 6 + seed % 3, 9 + seed % 4, 1 + seed % 3
         sampled = sim.sample_pattern(d, N, d - 1 - seed % 2, np.random.default_rng(seed))
-        pattern = SamplingPattern(d, N, frozenset(
-            (i, j) for i, j in sampled.observed if j != seed % N and (seed % 2 == 0 or i != seed % d)
-        ))
-        assert pattern.column_counts()[seed % N] == 0
-        assert all(i != seed % d for i, _ in pattern.observed) == (seed % 2 == 1)
+        pattern = SamplingPattern.from_cells(d, N, [
+            (i, j) for i, j in sampled.cells() if j != seed % N and (seed % 2 == 0 or i != seed % d)
+        ])
+        assert len(pattern.columns[seed % N]) == 0
+        assert all(i != seed % d for i, _ in pattern.cells()) == (seed % 2 == 1)
         inst = generate_instance(
             d, N, r, NoiseBudget.global_noise(seed % 3), planted=True, seed=seed, pattern=pattern
         )
@@ -275,9 +275,10 @@ class TestNonvanishingMinors:
         tol = 1e-6
         threshold = 2 * tol * np.linalg.norm([noisy[c] for c in pattern.cells()])
         expected = set()
+        observed = set(pattern.cells())
         for rows in combinations(range(d), r + 1):
             for cols in combinations(range(N), r + 1):
-                if all((i, j) in pattern.observed for i in rows for j in cols):
+                if all((i, j) in observed for i in rows for j in cols):
                     S = noisy[np.ix_(rows, cols)]
                     if abs(np.linalg.det(S)) * (r / np.sum(S * S)) ** (r / 2) > threshold:
                         expected.add((rows, cols))

@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from robustmc.pattern import (
     remove_entries,
     serialize_pattern,
 )
+from robustmc.sim import sample_pattern
 
 
 def pat(d, N, cells):
@@ -45,19 +47,19 @@ class TestConstraintMatrix:
             for idx, rows in enumerate(cm.columns):
                 assert len(rows) == r + 1
                 origin = cm.origins[idx]
-                base = p.column_rows(origin)[:r]
+                base = p.columns[origin][:r]
                 assert set(base) <= set(rows)
-                assert all((i, origin) in p.observed for i in rows)
+                assert all((i, origin) in set(p.cells()) for i in rows)
 
     def test_extras_enumerate_rows_beyond_base(self):
         p = pat(5, 2, [(0, 0), (1, 0), (3, 0), (4, 0), (2, 1), (3, 1), (4, 1)])
         cm = build_constraint_matrix(p, 2)
         for origin in range(2):
-            base = set(p.column_rows(origin)[:2])
+            base = set(p.columns[origin][:2])
             extras = [
                 (set(rows) - base).pop() for rows, o in zip(cm.columns, cm.origins) if o == origin
             ]
-            assert tuple(extras) == p.column_rows(origin)[2:]
+            assert tuple(extras) == p.columns[origin][2:]
 
     def test_per_origin_count(self):
         p = pat(4, 2, [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
@@ -78,14 +80,19 @@ class TestRemoval:
     def test_remove_one_cell(self):
         p = SamplingPattern.full(2, 2)
         q = remove_entries(p, RemovalSet(frozenset({(0, 0)})))
-        assert len(q.observed) == 3
-        assert (0, 0) not in q.observed
+        assert len(set(q.cells())) == 3
+        assert (0, 0) not in set(q.cells())
         assert (q.d, q.N) == (2, 2)
 
     def test_remove_unobserved_cell_rejected(self):
         p = pat(2, 2, [(0, 0)])
         with pytest.raises(ValueError):
             remove_entries(p, RemovalSet(frozenset({(1, 1)})))
+        # cells outside the grid, where indexing a column would wrap around
+        # or raise IndexError
+        for cell in [(0, -1), (0, 2), (-1, 0), (2, 0)]:
+            with pytest.raises(ValueError, match="unobserved cells"):
+                remove_entries(SamplingPattern.full(2, 2), RemovalSet(frozenset({cell})))
 
     @given(st.data())
     @settings(deadline=None, max_examples=60)
@@ -94,7 +101,7 @@ class TestRemoval:
         cells = data.draw(
             st.sets(st.tuples(st.integers(0, d - 1), st.integers(0, N - 1)), min_size=2)
         )
-        p = SamplingPattern(d, N, frozenset(cells))
+        p = SamplingPattern.from_cells(d, N, cells)
         split = data.draw(st.integers(0, len(cells)))
         ordered = sorted(cells)
         e1, e2 = frozenset(ordered[:split]), frozenset(ordered[split:])
@@ -104,8 +111,8 @@ class TestRemoval:
 
 
 def _random_pattern(rng, d, N):
-    return SamplingPattern(
-        d, N, frozenset((i, j) for j in range(N) for i in rng.sample(range(d), rng.randint(0, d)))
+    return SamplingPattern.from_cells(
+        d, N, [(i, j) for j in range(N) for i in rng.sample(range(d), rng.randint(0, d))]
     )
 
 
@@ -121,15 +128,15 @@ class TestRemovalDelta:
         for size in (1, 2, 3):
             removal = frozenset(rng.sample(cells, min(size, len(cells))))
             q = remove_entries(p, RemovalSet(removal))
-            fresh = SamplingPattern(p.d, p.N, p.observed - removal)
+            fresh = SamplingPattern.from_cells(p.d, p.N, set(p.cells()) - removal)
             assert q == fresh
             assert hash(q) == hash(fresh)
-            assert all(q.column_rows(j) == fresh.column_rows(j) for j in range(p.N))
+            assert all(q.columns[j] == fresh.columns[j] for j in range(p.N))
 
     def test_remove_entries_leaves_the_parent_intact(self):
         p = SamplingPattern.full(3, 2)
         remove_entries(p, RemovalSet(frozenset({(0, 0)})))
-        assert p.column_rows(0) == (0, 1, 2) and len(p.observed) == 6
+        assert p.columns[0] == (0, 1, 2) and len(set(p.cells())) == 6
 
     @pytest.mark.parametrize(
         "removal",
@@ -185,7 +192,7 @@ class TestEnumeration:
     )
     @settings(deadline=None, max_examples=60)
     def test_global_count_is_binomial(self, cells, s):
-        p = SamplingPattern(4, 3, frozenset(cells))
+        p = SamplingPattern.from_cells(4, 3, cells)
         if not 0 <= s <= len(cells):
             with pytest.raises(ValueError):
                 list(enumerate_removals(p, s))
@@ -235,10 +242,45 @@ class TestValidation:
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            SamplingPattern(0, 2, frozenset())
+            SamplingPattern.from_cells(0, 2, [])
         with pytest.raises(ValueError, match="outside a 2x2 grid"):
-            SamplingPattern(2, 2, frozenset({(5, 0)}))
+            SamplingPattern.from_cells(2, 2, [(5, 0)])
 
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ValueError):
             SamplingPattern.from_cells(2, 2, [(0, 0), (0, 0)])
+
+    @pytest.mark.parametrize(
+        "d, columns",
+        [
+            (3, ((0, 1), (2, 1))),  # unsorted column
+            (3, ((0, 1), (1, 1))),  # repeated row
+            (3, ((-1, 0),)),        # row below 0
+            (3, ((0, 3),)),         # row at d
+            (3, ()),                # no columns
+            (0, ((),)),             # d = 0
+            (-2, ((),)),            # d < 0
+        ],
+    )
+    def test_bad_columns_rejected(self, d, columns):
+        with pytest.raises(ValueError):
+            SamplingPattern(d, columns)
+
+
+class TestColumns:
+    def test_list_columns_equal_the_tuple_form(self):
+        p = SamplingPattern(3, [[0, 2], [], [1]])
+        q = SamplingPattern(3, ((0, 2), (), (1,)))
+        assert p == q and hash(p) == hash(q)
+        assert p.columns == ((0, 2), (), (1,)) and p.N == 3 and p.size() == 3
+        assert p.cells() == ((0, 0), (1, 2), (2, 0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_cells_rebuilds_the_pattern(self, seed):
+        for p in (
+            sample_pattern(7, 9, 1 + seed, np.random.default_rng(seed)),
+            _random_pattern(random.Random(seed), 6, 5),
+        ):
+            q = SamplingPattern.from_cells(p.d, p.N, p.cells())
+            assert q == p and hash(q) == hash(p)
+            assert q.size() == len(p.cells())

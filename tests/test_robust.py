@@ -127,7 +127,7 @@ class TestVerifyFinite:
 def _per_column_removals(pattern, need):
     """Every choice of `need` observed cells in each column, in lexicographic order."""
     per_column = [
-        combinations([(i, j) for i in pattern.column_rows(j)], need) for j in range(pattern.N)
+        combinations([(i, j) for i in pattern.columns[j]], need) for j in range(pattern.N)
     ]
     for choice in product(*per_column):
         yield RemovalSet(frozenset(cell for chunk in choice for cell in chunk))
@@ -231,7 +231,7 @@ class TestWitnessFilter:
             origins = r * (d - r) + (d - r if unique else 0)
             pattern = random_pattern(rng, d, rng.randint(max(origins - 1, 1), origins + 3), floor)
             budget = NoiseBudget.global_noise(s)
-            if math.comb(len(pattern.observed), s + unique) > 600:
+            if math.comb(len(set(pattern.cells())), s + unique) > 600:
                 continue
             cases += 1
             before = calls[0]
@@ -266,7 +266,7 @@ class TestGMonotonicity:
             pattern = random_pattern(rng, 4, 5, 3)
             previous = None
             for g in (0, 1):
-                counts = pattern.column_counts()
+                counts = [len(rows) for rows in pattern.columns]
                 if min(counts) < 1 + g + 1 + 1:
                     break
                 verdict = verify_finite(pattern, 1, NoiseBudget.per_column(g))
@@ -384,7 +384,7 @@ class TestIdentify:
         prow = rng.permutation(6)
         pcol = rng.permutation(10)
         perm_obs = {(int(prow[i]), int(pcol[j])): v for (i, j), v in obs.items()}
-        perm_pattern = SamplingPattern(6, 10, frozenset(perm_obs))
+        perm_pattern = SamplingPattern.from_cells(6, 10, perm_obs)
         perm_support = identify_noise_support(perm_obs, perm_pattern, 2, 1, 1e-6)
         assert perm_support == {(int(prow[i]), int(pcol[j])) for (i, j) in support}
 
@@ -399,14 +399,14 @@ class TestIdentify:
     )
     def test_negative_budget_or_empty_pattern_rejected(self, cells, s, message):
         with pytest.raises(ValueError, match=message):
-            identify_noise_support({c: 1.0 for c in cells}, SamplingPattern(2, 2, frozenset(cells)), 1, s)
+            identify_noise_support({c: 1.0 for c in cells}, SamplingPattern.from_cells(2, 2, cells), 1, s)
 
 
 def _fit_every_candidate(observations, pattern, r, s, tolerance):
     """Reference: fit every candidate by cardinality, then lexicographically."""
     for size in range(s + 1):
         for cand in combinations(pattern.cells(), size):
-            sub = SamplingPattern(pattern.d, pattern.N, pattern.observed - set(cand))
+            sub = SamplingPattern.from_cells(pattern.d, pattern.N, set(pattern.cells()) - set(cand))
             remaining = {c: observations[c] for c in sub.cells()}
             if numeric.rank_r_fit(remaining, sub, r, tolerance).admits:
                 return frozenset(cand)
@@ -518,6 +518,19 @@ class TestObservationFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(PatternFormatError):
             parse_observations("2 2\n0 0\n")
+
+    def test_numpy_values_round_trip(self):
+        pattern = SamplingPattern.full(2, 2)
+        values = {cell: np.float64(0.5 + k) for k, cell in enumerate(pattern.cells())}
+        text = serialize_observations(pattern, values)
+        assert text == "2 2\n0 0 0.5\n0 1 1.5\n1 0 2.5\n1 1 3.5\n"
+        assert parse_observations(text) == (pattern, values)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float64(np.nan), float("inf")])
+    def test_non_finite_value_not_serialized(self, value):
+        values = {(0, 0): 1.0, (0, 1): value, (1, 0): 3.0, (1, 1): 4.0}
+        with pytest.raises(ValueError, match=r"non-finite value .* for cell \(0, 1\)"):
+            serialize_observations(SamplingPattern.full(2, 2), values)
 
     def test_missing_value_not_serialized(self):
         with pytest.raises(ValueError, match=r"missing value for observed cell \(1, 1\)"):
