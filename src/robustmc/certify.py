@@ -47,8 +47,13 @@ Every found witness is re-checked by `validate_witness`, which shares no
 code with the game: `min_slack`'s exact project-selection min-cut
 (selecting a column earns 1, every covered row costs k, and S's last
 column is forced in to exclude the empty set), one max-flow grown over the
-witness's prefixes.  The min-cut's reference in the tests, an enumeration
-of every subset of up to 22 columns, lives in `tests/oracles.py`.
+witness's prefixes.  A warm search's witness is re-checked against the
+witness `warm_from` validated under the same condition: the predicate is
+hereditary (every subset of a (k, k*r)-sparse set is sparse) and slack
+depends only on row supports, so the columns whose rows match that
+witness's, as a multiset, are routed first and only the others end an S
+of the scan.  The min-cut's reference in the tests, an enumeration of
+every subset of up to 22 columns, lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ class Certificate:
     refutation: dict | None = None
     note: str = ""
     # where the search left the witnesses, read only by `warm_from`: the
-    # matrix's d, then per witness each column's (origin, rows, tail row)
+    # matrix's d, then per witness each column's (origin, rows, tail row);
+    # the next search pins them and validates its witness against their rows
     _pebbles: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self, cm: ConstraintMatrix) -> dict:
@@ -128,10 +134,20 @@ def min_slack(cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition)
     """Exact minimum of k*rows(S) - |S| - k*r over nonempty S within the subset."""
     if not subset:
         raise ValueError("subset must be non-empty")
+    _check_indices(cm, subset)
     return _prefix_scan(cm, subset, cond, None)
 
 
-def _prefix_scan(cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition, floor: int | None) -> int:
+def _check_indices(cm: ConstraintMatrix, subset: Sequence[int]) -> None:
+    """ValueError for a column index outside range(len(cm)), which would alias or raise IndexError."""
+    if len(subset) and (min(subset) < 0 or max(subset) >= len(cm)):
+        bad = [i for i in subset if not 0 <= i < len(cm)]
+        raise ValueError(f"column indices outside range({len(cm)}): {bad[:4]}")
+
+
+def _prefix_scan(
+    cm: ConstraintMatrix, subset: Sequence[int], cond: CountCondition, floor: int | None, known: int = 0
+) -> int:
     """`min_slack` by one max-flow grown over the subset's prefixes.
 
     The network source -> column (capacity 1) -> its r+1 rows -> sink
@@ -147,6 +163,11 @@ def _prefix_scan(cm: ConstraintMatrix, subset: Sequence[int], cond: CountConditi
     max flow by at most 1, so giving back all but one of the anchor's units
     leaves a max flow for the next anchor.  With a floor, an anchor stops once
     its value reaches it, and the first value below it is returned.
+
+    The first `known` columns are no anchors: they are routed one unit each,
+    which gives a max flow of them (Kuhn's argument again), and only the S
+    whose last column comes after them are scanned.  The caller vouches for
+    the S inside that prefix.
     """
     k, n = cond.k, len(subset)
     columns = [cm.columns[i] for i in subset]
@@ -178,8 +199,18 @@ def _prefix_scan(cm: ConstraintMatrix, subset: Sequence[int], cond: CountConditi
                         queue.append(moved)
         return False
 
-    flow, lowest = 0, k  # every single column has value k - 1
-    for anchor in range(n):
+    flow = 0
+    for column in range(known):  # one unit each: a max flow of the prefix
+        for row in columns[column]:  # a path of one edge, without a search
+            if load[row] < k:
+                load[row] += 1
+                routed[row].append(column)
+                flow += 1
+                break
+        else:
+            flow += push(column)
+    lowest = k  # every single column has value k - 1
+    for anchor in range(known, n):
         value = start = flow - anchor - 1 - k * cond.r  # before the anchor's first unit
         for row in columns[anchor]:  # paths of one edge, without a search
             while load[row] < k and (floor is None or value < floor):
@@ -200,16 +231,41 @@ def _prefix_scan(cm: ConstraintMatrix, subset: Sequence[int], cond: CountConditi
     return lowest
 
 
-def validate_witness(cm: ConstraintMatrix, witness: Sequence[int], cond: CountCondition) -> bool:
+def validate_witness(
+    cm: ConstraintMatrix,
+    witness: Sequence[int],
+    cond: CountCondition,
+    validated: Sequence[tuple[int, ...]] = (),
+) -> bool:
     """Independent re-check of a witness: origin-distinct and nonnegative slack.
 
     Every witness goes through the prefix-scan max-flow, which stops at the
     first negative slack; the tests' enumeration oracle is in `tests/oracles.py`.
+
+    `validated` holds the row supports of a witness that passed this check
+    under the same condition, in any matrix of the same d.  The predicate is
+    hereditary and slack depends only on row supports, so a set of columns
+    whose supports are a sub-multiset of those needs no check: the witness
+    columns matched to them by rows, each support used at most once, lead the
+    scan and are routed by a plain max flow, and only the others are anchors.
+    Origins are checked on their own either way.
     """
+    _check_indices(cm, witness)
     origins = [cm.origins[i] for i in witness]
     if len(set(origins)) != len(origins):
         return False
-    return _prefix_scan(cm, witness, cond, 0) >= 0
+    unmatched: dict[tuple[int, ...], int] = {}
+    for rows in validated:
+        unmatched[rows] = unmatched.get(rows, 0) + 1
+    known, added = [], []
+    for i in witness:
+        rows = cm.columns[i]
+        if unmatched.get(rows):
+            unmatched[rows] -= 1
+            known.append(i)
+        else:
+            added.append(i)
+    return _prefix_scan(cm, known + added, cond, 0, len(known)) >= 0
 
 
 class _PebbleGame:
@@ -501,8 +557,10 @@ def _certificate(
             ),
         )
     witnesses = [tuple(sorted(tails)) for tails in found]
-    for witness, (cond, _) in zip(witnesses, parts):
-        if not validate_witness(cm, witness, cond):
+    # warm_from's witnesses passed this validation under the same conditions
+    previous = ((),) * len(parts) if warm_from is None else warm_from._pebbles[1]
+    for witness, (cond, _), done in zip(witnesses, parts, previous):
+        if not validate_witness(cm, witness, cond, [rows for _, rows, _ in done]):
             raise RuntimeError("internal error: witness failed independent validation")
     pebbles = tuple(
         tuple((cm.origins[c], cm.columns[c], tails[c]) for c in witness)

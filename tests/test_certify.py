@@ -18,7 +18,14 @@ from robustmc.certify import (
     validate_witness,
 )
 from robustmc import certify
-from robustmc.pattern import NoiseBudget, SamplingPattern, build_constraint_matrix, rebuild_origins
+from robustmc.pattern import (
+    NoiseBudget,
+    RemovalSet,
+    SamplingPattern,
+    build_constraint_matrix,
+    rebuild_origins,
+    remove_entries,
+)
 from robustmc.robust import RobustOutcome, verify_finite
 from robustmc.sim import sample_pattern
 
@@ -161,6 +168,139 @@ class TestValidateWitness:
                 rejected["origins"] += not distinct
                 rejected["slack"] += distinct and slack < 0
         assert rejected["origins"] > 0 and rejected["slack"] > 0
+
+    def test_hereditary_recheck_matches_exhaustive_oracle(self):
+        # chains of witnesses: a validated witness V, then W made of a random
+        # part of V's columns (found again by origin and rows) and 1-3 other
+        # columns, on the matrix of the pattern less one or two cells, so the
+        # column indices shift; half the other columns repeat the rows of a V
+        # column, and W is shuffled, so neither index nor order gives V away
+        rng = random.Random(22)
+        seen = {"accepted": 0, "rejected": 0, "repeated": 0}
+        for case in range(150):
+            cond, pattern, cm = _crowded_matrix(rng, case)
+            validated = _greedy_witness(rng, cm, cond)
+            for _ in range(4):
+                removal = frozenset(rng.sample(pattern.cells(), rng.randint(1, 2)))
+                cm = rebuild_origins(cm, pattern, removal)
+                pattern = remove_entries(pattern, RemovalSet(removal))
+                if not len(cm):
+                    break
+                pool = list(range(len(cm)))
+                kept = [c for c in pool if (cm.origins[c], cm.columns[c]) in validated]
+                part = rng.sample(kept, rng.randint(0, len(kept)))
+                supports = [rows for _, rows in validated]
+                others = [c for c in pool if c not in part]
+                repeats = [c for c in others if cm.columns[c] in supports]
+                added = set()
+                for _ in range(rng.randint(1, 3) if others else 0):
+                    added.add(rng.choice(repeats if repeats and rng.random() < 0.5 else others))
+                witness = part + sorted(added)
+                rng.shuffle(witness)
+                distinct = len({cm.origins[c] for c in witness}) == len(witness)
+                expected = distinct and min_slack_exhaustive(cm, witness, cond) >= 0
+                assert validate_witness(cm, witness, cond, supports) == expected
+                seen["accepted" if expected else "rejected"] += 1
+                shared = [cm.columns[c] for c in witness if cm.columns[c] in supports]
+                seen["repeated"] += len(shared) > len(set(shared))  # one support twice in W
+                if expected:
+                    validated = [(cm.origins[c], cm.columns[c]) for c in witness]
+        assert min(seen.values()) > 0, seen
+
+    def test_warm_search_hands_over_the_previous_witness(self, monkeypatch):
+        # warm chains as robust verification runs them: every validation of a
+        # found witness is told the row supports of the previous certificate's
+        # witness under the same condition, and nothing when cold
+        calls = []
+        validate = certify.validate_witness
+
+        def recorded(cm, witness, cond, validated=()):
+            calls.append((cond, list(validated)))
+            return validate(cm, witness, cond, validated)
+
+        monkeypatch.setattr(certify, "validate_witness", recorded)
+        rng = random.Random(23)
+        handed = 0
+        for case in range(40):
+            unique = case % 2 == 1
+            d = rng.randint(4, 8)
+            r = rng.randint(1, min(3, d - 2))
+            N = r * (d - r) + (d - r if unique else 0) + rng.randint(2, 6)
+            cells = [(i, j) for j in range(N) for i in rng.sample(range(d), rng.randint(r + 1, d))]
+            pattern = SamplingPattern.from_cells(d, N, cells)
+            find = find_unique_certificate if unique else find_finite_certificate
+            conds = (CountCondition.finite(r), CountCondition.unique(r))[: 1 + unique]
+            base = build_constraint_matrix(pattern, r)
+            previous, supports = None, [[] for _ in conds]
+            for _ in range(8):
+                cm = rebuild_origins(base, pattern, frozenset(rng.sample(cells, 1)))
+                del calls[:]
+                cert = find(cm, r, warm_from=previous)
+                if cert.verdict == Verdict.REFUTED:
+                    assert calls == []
+                    continue
+                assert calls == list(zip(conds, supports))
+                handed += previous is not None
+                witnesses = (cert.finite_witness, cert.unique_witness)
+                supports = [[cm.columns[c] for c in witness] for witness in witnesses[: len(conds)]]
+                previous = cert
+        assert handed > 0
+
+    def test_validated_supports_are_a_multiset(self):
+        # two data columns observing rows {0, 1, 2} at r=2 give two constraint
+        # columns of equal rows from different origins; one validated copy
+        # vouches for one of them, and both together have slack 3 - 2 - 2 = -1
+        cm = build_constraint_matrix(SamplingPattern.full(3, 2), 2)
+        assert cm.columns == ((0, 1, 2), (0, 1, 2)) and cm.origins == (0, 1)
+        cond = CountCondition.unique(2)
+        assert min_slack(cm, [0, 1], cond) == -1
+        assert not validate_witness(cm, [0, 1], cond, validated=[(0, 1, 2)])
+        assert validate_witness(cm, [1], cond, validated=[(0, 1, 2)])
+
+    def test_out_of_range_column_rejected(self):
+        cm = build_constraint_matrix(SamplingPattern.full(3, 2), 1)
+        assert len(cm) == 4
+        cond = CountCondition.finite(1)
+        for subset in ([-1], [-4], [4], [0, 2, 7], [1, -2]):
+            with pytest.raises(ValueError, match="outside range"):
+                validate_witness(cm, subset, cond)
+            with pytest.raises(ValueError, match="outside range"):
+                validate_witness(cm, subset, cond, validated=[cm.columns[0]])
+            with pytest.raises(ValueError, match="outside range"):
+                min_slack(cm, subset, cond)
+        assert validate_witness(cm, [3], cond) and min_slack(cm, [0], cond) == 0
+
+
+def _crowded_matrix(rng, case):
+    """A seeded pattern and its constraint matrix, most data columns repeating
+    one of three row sets so that constraint columns of equal rows recur, and
+    the condition: finite on even cases, unique on odd ones."""
+    r = rng.randint(1, 3)
+    d = rng.randint(r + 2, 8)
+    shared = [sorted(rng.sample(range(d), rng.randint(r + 1, d))) for _ in range(3)]
+    columns = [
+        rng.choice(shared) if rng.random() < 0.6 else sorted(rng.sample(range(d), rng.randint(r + 1, d)))
+        for _ in range(rng.randint(6, 14))
+    ]
+    pattern = SamplingPattern(d, columns)
+    cond = (CountCondition.finite(r), CountCondition.unique(r))[case % 2]
+    return cond, pattern, build_constraint_matrix(pattern, r)
+
+
+def _greedy_witness(rng, cm, cond, size=12):
+    """(origin, rows) of an origin-distinct set of up to `size` columns of
+    nonnegative slack by the enumeration oracle, grown in a random order."""
+    chosen: list[int] = []
+    order = list(range(len(cm)))
+    rng.shuffle(order)
+    for c in order:
+        if len(chosen) == size:
+            break
+        if cm.origins[c] in {cm.origins[x] for x in chosen}:
+            continue
+        if min_slack_exhaustive(cm, [*chosen, c], cond) >= 0:
+            chosen.append(c)
+    return [(cm.origins[c], cm.columns[c]) for c in chosen]
 
 
 class TestFiniteCertificate:

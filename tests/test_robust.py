@@ -259,6 +259,20 @@ class TestWitnessFilter:
         assert cells_after((0, 0)) is None
 
 
+class TestResearchScale:
+    """Verdicts at d=32 (r=3, l=12), solved warm over long removal chains."""
+
+    def test_finite_global_one(self):
+        pattern = sim.sample_pattern(32, 93, 12, np.random.default_rng(0))
+        verdict = verify_finite(pattern, 3, NoiseBudget.global_noise(1))
+        assert verdict == RobustVerdict(RobustOutcome.FINITE, checked=1116)
+
+    def test_unique_global_zero(self):
+        pattern = sim.sample_pattern(32, 130, 12, np.random.default_rng(0))
+        verdict = verify_unique(pattern, 3, NoiseBudget.global_noise(0))
+        assert verdict == RobustVerdict(RobustOutcome.UNIQUE, checked=1560)
+
+
 class TestGMonotonicity:
     def test_growing_g_never_rescues_a_refutation(self):
         rng = random.Random(5)
