@@ -32,10 +32,13 @@ at least r observed cells (see `find_finite_certificate`).
 
 The intersection asks the count matroid through the (k, k*r) pebble game on
 the rows, kept incrementally as columns enter and leave; a failed pebble
-search also yields the column's fundamental circuit.  A search can start
-warm from another certificate's witnesses (`warm_from`): the witness
-columns the matrix still has enter the games pinned, each on the tail row
-that covered it.  That is a valid pebble state: the pebble game's proofs use
+search also yields the column's fundamental circuit.  A row's free pebbles
+are read from the members it covers, as the validator's row loads are from
+the columns routed into it: no count is kept beside them.  A search can
+start warm from another certificate's witnesses (`warm_from`), which carries
+its matrix (`cm`) and each witness column's tail row: the witness columns
+the matrix still has, found by origin and rows, enter the games pinned on
+those rows.  That is a valid pebble state: the pebble game's proofs use
 only that the members are (k, k*r)-sparse and each is covered from one of
 its own rows, at most k per row, which a witness's pebble state satisfies
 and which dropping members keeps.  The pinned columns are also
@@ -105,12 +108,12 @@ class Certificate:
     unique_witness: tuple[int, ...] | None = None
     refutation: dict | None = None
     note: str = ""
-    # where the search left the witnesses, read only by `warm_from`: the
-    # matrix's d, then per witness each column's (origin, rows, tail row);
-    # the next search pins them and validates its witness against their rows
-    _pebbles: tuple | None = field(default=None, repr=False, compare=False)
+    # the matrix the witness indices refer to: origins and rows are read from it
+    cm: ConstraintMatrix | None = field(default=None, repr=False, compare=False)
+    # per witness, each column's tail row when the search ended, for `warm_from`
+    _tails: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False, compare=False)
 
-    def to_dict(self, cm: ConstraintMatrix) -> dict:
+    def to_dict(self) -> dict:
         doc: dict = {"verdict": self.verdict.value, "rank": self.r, "note": self.note}
         if self.refutation is not None:
             doc["refutation"] = self.refutation
@@ -122,10 +125,10 @@ class Certificate:
                 continue
             doc[name] = {
                 "columns": [
-                    {"column": i, "origin": cm.origins[i], "rows": list(cm.columns[i])}
+                    {"column": i, "origin": self.cm.origins[i], "rows": list(self.cm.columns[i])}
                     for i in witness
                 ],
-                "min_slack": min_slack(cm, witness, cond) if witness else None,
+                "min_slack": min_slack(self.cm, witness, cond) if witness else None,
             }
         return doc
 
@@ -171,8 +174,7 @@ def _prefix_scan(
     """
     k, n = cond.k, len(subset)
     columns = [cm.columns[i] for i in subset]
-    load = [0] * cm.d
-    routed: list[list[int]] = [[] for _ in range(cm.d)]  # columns by the row they are routed into
+    routed: list[list[int]] = [[] for _ in range(cm.d)]  # columns by row routed into: its load
 
     def push(source: int) -> bool:
         """Route one more unit of the source along a shortest path, if there is one."""
@@ -185,8 +187,7 @@ def _prefix_scan(
                 if reached[row] >= 0:
                     continue
                 reached[row] = column
-                if load[row] < k:
-                    load[row] += 1
+                if len(routed[row]) < k:
                     while (previous := parent[column]) >= 0:
                         routed[row].append(column)
                         routed[previous].remove(column)
@@ -202,8 +203,7 @@ def _prefix_scan(
     flow = 0
     for column in range(known):  # one unit each: a max flow of the prefix
         for row in columns[column]:  # a path of one edge, without a search
-            if load[row] < k:
-                load[row] += 1
+            if len(routed[row]) < k:
                 routed[row].append(column)
                 flow += 1
                 break
@@ -213,8 +213,7 @@ def _prefix_scan(
     for anchor in range(known, n):
         value = start = flow - anchor - 1 - k * cond.r  # before the anchor's first unit
         for row in columns[anchor]:  # paths of one edge, without a search
-            while load[row] < k and (floor is None or value < floor):
-                load[row] += 1
+            while len(routed[row]) < k and (floor is None or value < floor):
                 routed[row].append(anchor)
                 value += 1
         while (floor is None or value < floor) and push(anchor):
@@ -226,7 +225,6 @@ def _prefix_scan(
         for row in columns[anchor]:  # give back all but one of its units
             while value > start + 1 and anchor in routed[row]:
                 routed[row].remove(anchor)
-                load[row] -= 1
                 value -= 1
     return lowest
 
@@ -275,7 +273,7 @@ class _PebbleGame:
     is independent iff it is (k, k*r)-sparse (Streinu & Theran, "Sparse
     hypergraphs and pebble game algorithms", 2009).  Every row holds k
     pebbles; each member column is covered by one pebble of a row in it, its
-    tail, so a row's free pebbles are k minus the members it covers.  Members
+    tail, so a row's free pebbles, read and not stored, are k minus the members it covers.  Members
     are directed from their tail to their other rows.  The members plus a
     column stay independent iff k*r+1 pebbles can be gathered on its rows,
     moving free pebbles back along directed paths.
@@ -283,8 +281,8 @@ class _PebbleGame:
 
     def __init__(self, cm: ConstraintMatrix, cond: CountCondition):
         self.columns = cm.columns
+        self.k = cond.k
         self.need = cond.k * cond.r + 1
-        self.free = [cond.k] * cm.d
         self.covers: list[list[int]] = [[] for _ in range(cm.d)]  # members by tail row
         self.tail: dict[int, int] = {}
 
@@ -297,8 +295,8 @@ class _PebbleGame:
         round finds none, the rows reached span a tight set: the members
         covered from them are the column's fundamental circuit.
         """
-        free, covers, tail, columns = self.free, self.covers, self.tail, self.columns
-        gathered = sum(map(free.__getitem__, rows))
+        k, covers, tail, columns = self.k, self.covers, self.tail, self.columns
+        gathered = sum(k - len(covers[v]) for v in rows)
         while gathered < self.need:
             reached_by: dict[int, int | None] = dict.fromkeys(rows)
             queue = deque(rows)
@@ -308,7 +306,7 @@ class _PebbleGame:
                     for w in columns[member]:
                         if w not in reached_by:
                             reached_by[w] = member
-                            if free[w]:
+                            if len(covers[w]) < k:
                                 found = w
                                 break
                             queue.append(w)
@@ -316,7 +314,6 @@ class _PebbleGame:
                         break
             if found is None:
                 return set(reached_by)
-            free[found] -= 1
             row = found
             while (member := reached_by[row]) is not None:
                 previous = tail[member]
@@ -324,7 +321,6 @@ class _PebbleGame:
                 covers[row].append(member)
                 tail[member] = row
                 row = previous
-            free[row] += 1
             gathered += 1
         return None
 
@@ -342,7 +338,7 @@ class _PebbleGame:
     def add(self, column: int) -> None:
         if self._gather(self.columns[column]) is not None:
             raise RuntimeError("internal error: dependent column added to a pebble game")
-        self.pin(column, next(v for v in self.columns[column] if self.free[v]))
+        self.pin(column, next(v for v in self.columns[column] if len(self.covers[v]) < self.k))
 
     def pin(self, column: int, row: int) -> None:
         """Make the column a member covered from `row`, one of its rows, without a search.
@@ -350,14 +346,12 @@ class _PebbleGame:
         Sound only while the members stay (k, k*r)-sparse and no row covers
         more than k of them.
         """
-        self.free[row] -= 1
         self.covers[row].append(column)
         self.tail[column] = row
 
     def remove(self, column: int) -> None:
         row = self.tail.pop(column)
         self.covers[row].remove(column)
-        self.free[row] += 1
 
 
 def _max_rainbow_witnesses(
@@ -399,31 +393,27 @@ def _max_rainbow_witnesses(
     total = sum(caps)
     games = [_PebbleGame(cm, cond) for cond, _ in parts]
     # element e is column e % n in copy e // n
-    in_set = [False] * (n * len(parts))
     members = [game.tail for game in games]  # the games' own {member: tail row} maps
+    origin_member: dict[int, int] = {}  # each used origin's member element
 
-    used_origins: set[int] = set()
     for p, start in enumerate(pinned):
         for c, row in start:
             games[p].pin(c, row)
-            in_set[p * n + c] = True
-            used_origins.add(cm.origins[c])
+            origin_member[cm.origins[c]] = p * n + c
 
     # greedy seed: each copy in canonical order until it holds its size
     for p, game in enumerate(games):
         for c in range(n):
             if len(members[p]) == caps[p]:
                 break
-            if cm.origins[c] in used_origins:
+            if cm.origins[c] in origin_member:
                 continue
             if game.probe(c) is None:
                 game.add(c)
-                in_set[p * n + c] = True
-                used_origins.add(cm.origins[c])
+                origin_member[cm.origins[c]] = p * n + c
 
     while sum(map(len, members)) < total:
-        outside = [[p * n + c for c in range(n) if not in_set[p * n + c]] for p in range(len(parts))]
-        origin_member = {cm.origins[c]: p * n + c for p in range(len(parts)) for c in members[p]}
+        outside = [[p * n + c for c in range(n) if c not in members[p]] for p in range(len(parts))]
         circuits: dict[int, frozenset[int] | None] = {}
 
         def circuit(y: int) -> frozenset[int] | None:
@@ -449,7 +439,7 @@ def _max_rainbow_witnesses(
         while goal is None and queue:
             node = queue.popleft()
             p, col = divmod(node, n)
-            if not in_set[node]:
+            if col not in members[p]:
                 # outside element: its origin is blocked by exactly one member
                 blocker = origin_member[cm.origins[col]]
                 if blocker not in parent:
@@ -469,15 +459,16 @@ def _max_rainbow_witnesses(
                         queue.append(y)
         if goal is None:
             return None
-        # flip the path: members leave their games before outside elements enter
+        # flip the path: members leave before outside elements enter and take over their origins
         entering: list[int] = []
         node = goal
         while node is not None:
-            if in_set[node]:
-                games[node // n].remove(node % n)
+            p, col = divmod(node, n)
+            if col in members[p]:
+                games[p].remove(col)
             else:
                 entering.append(node)
-            in_set[node] = not in_set[node]
+                origin_member[cm.origins[col]] = node
             node = parent[node]
         for node in entering:
             games[node // n].add(node % n)
@@ -489,7 +480,7 @@ def _pinned(
     cm: ConstraintMatrix, warm_from: Certificate, positive: Verdict
 ) -> list[list[tuple[int, int]]]:
     """Per witness of `warm_from`, its columns that are constraint columns of
-    `cm`, found by origin and rows, each with the tail row it had.
+    `cm`, found by origin and rows in `warm_from.cm`, each with the tail row it had.
 
     Dropping members is a legal pebble-game move, so these columns keep
     distinct origins, stay (k, k*r)-sparse and stay covered from rows of
@@ -501,12 +492,14 @@ def _pinned(
         )
     if warm_from.r != cm.r:
         raise ValueError(f"warm_from has rank {warm_from.r}, not {cm.r}")
-    if warm_from._pebbles is None or warm_from._pebbles[0] != cm.d:
+    old = warm_from.cm
+    if old is None or warm_from._tails is None or old.d != cm.d:
         raise ValueError(f"warm_from was not found on a constraint matrix of {cm.d} rows")
     pinned = []
-    for witness in warm_from._pebbles[1]:
+    for witness, tails in zip((warm_from.finite_witness, warm_from.unique_witness), warm_from._tails):
         start = []
-        for origin, rows, tail in witness:
+        for column, tail in zip(witness, tails):
+            origin, rows = old.origins[column], old.columns[column]
             for c in range(bisect_left(cm.origins, origin), bisect_right(cm.origins, origin)):
                 if cm.columns[c] == rows:
                     start.append((c, tail))
@@ -558,15 +551,12 @@ def _certificate(
         )
     witnesses = [tuple(sorted(tails)) for tails in found]
     # warm_from's witnesses passed this validation under the same conditions
-    previous = ((),) * len(parts) if warm_from is None else warm_from._pebbles[1]
+    previous = ((), ()) if warm_from is None else (warm_from.finite_witness, warm_from.unique_witness)
     for witness, (cond, _), done in zip(witnesses, parts, previous):
-        if not validate_witness(cm, witness, cond, [rows for _, rows, _ in done]):
+        if not validate_witness(cm, witness, cond, [warm_from.cm.columns[c] for c in done]):
             raise RuntimeError("internal error: witness failed independent validation")
-    pebbles = tuple(
-        tuple((cm.origins[c], cm.columns[c], tails[c]) for c in witness)
-        for witness, tails in zip(witnesses, found)
-    )
-    return Certificate(positive, r, *witnesses, _pebbles=(cm.d, pebbles))
+    tail_rows = tuple(tuple(tails[c] for c in witness) for witness, tails in zip(witnesses, found))
+    return Certificate(positive, r, *witnesses, cm=cm, _tails=tail_rows)
 
 
 def find_finite_certificate(

@@ -158,6 +158,7 @@ def rebuild_origins(
     """
     if not cells:
         return cm
+    _check_observed(pattern, cells)
     columns, origins = list(cm.columns), list(cm.origins)
     for j in sorted({j for _, j in cells}, reverse=True):
         lo, hi = bisect_left(cm.origins, j), bisect_right(cm.origins, j)
@@ -178,13 +179,18 @@ def remove_entries(pattern: SamplingPattern, removal: RemovalSet) -> SamplingPat
     cells = removal.cells
     if not cells:
         return pattern
-    missing = [(i, j) for i, j in cells if not (0 <= j < pattern.N and i in pattern.columns[j])]
-    if missing:
-        raise ValueError(f"removal contains unobserved cells: {sorted(missing)[:4]}")
+    _check_observed(pattern, cells)
     columns = list(pattern.columns)
     for j in {j for _, j in cells}:
         columns[j] = tuple([i for i in columns[j] if (i, j) not in cells])
     return SamplingPattern(pattern.d, tuple(columns))
+
+
+def _check_observed(pattern: SamplingPattern, cells: Iterable[Cell]) -> None:
+    """ValueError unless every cell is observed; one off the grid would alias or raise IndexError."""
+    missing = [(i, j) for i, j in cells if not (0 <= j < pattern.N and i in pattern.columns[j])]
+    if missing:
+        raise ValueError(f"removal contains unobserved cells: {sorted(missing)[:4]}")
 
 
 def enumerate_removals(pattern: SamplingPattern, size: int) -> Iterator[RemovalSet]:

@@ -48,7 +48,6 @@ from . import certify, numeric
 from .pattern import (
     GLOBAL,
     Cell,
-    ConstraintMatrix,
     NoiseBudget,
     RemovalSet,
     SamplingPattern,
@@ -129,18 +128,16 @@ def _row_erasing_removal(pattern: SamplingPattern, need: int) -> RemovalSet:
     )
 
 
-def _witness_cells(
-    pattern: SamplingPattern, cm: ConstraintMatrix, cert: certify.Certificate
-) -> frozenset[Cell] | None:
+def _witness_cells(pattern: SamplingPattern, cert: certify.Certificate) -> frozenset[Cell] | None:
     """The cells a positive certificate's witnesses touch, or None unless every
     witness column is also a constraint column of `pattern`.
 
-    `cm` comes from `pattern` less some cells, so a witness column (j, rows)
+    `cert.cm` comes from `pattern` less some cells, so a witness column (j, rows)
     has its extra row rows[r] observed in `pattern` after rows[:r]; it is a
     constraint column of `pattern` when rows[:r] are still the first r
     observed rows of data column j there.
     """
-    r = cm.r
+    cm, r = cert.cm, cert.r
     cells: set[Cell] = set()
     for witness in (cert.finite_witness, cert.unique_witness):
         for c in witness or ():
@@ -200,7 +197,7 @@ def _verify(
                 reason=cert.note,
             )
         last = cert
-        cells = _witness_cells(pattern, cm, cert)
+        cells = _witness_cells(pattern, cert)
         if cells is not None:
             kept.insert(0, cells)
             del kept[_KEPT_WITNESSES:]

@@ -378,7 +378,7 @@ class TestUniqueCertificate:
     def test_report_serialization_carries_witness_details(self):
         cm = build_constraint_matrix(SamplingPattern.full(3, 4), 1)
         cert = find_unique_certificate(cm, 1)
-        doc = cert.to_dict(cm)
+        doc = cert.to_dict()
         assert doc["verdict"] == "Unique"
         assert doc["finite_witness"]["min_slack"] >= 0
         assert doc["unique_witness"]["min_slack"] >= 0
@@ -434,6 +434,12 @@ class TestWarmStart:
                 for witness, cond, size in zip(witnesses, conds, (r * (d - r), d - r)):
                     assert len(witness) == size
                     assert min_slack_exhaustive(cm, witness, cond) >= 0
+                    assert validate_witness(warm.cm, witness, cond)
+                # the certificate carries the matrix its indices refer to,
+                # and its report holds neither the matrix nor the tail rows
+                assert warm.cm is cm
+                report = json.dumps(warm.to_dict())
+                assert "_tails" not in report and "ConstraintMatrix" not in report
                 previous = warm
         assert augmented > 0
         assert {Verdict.FINITE, Verdict.UNIQUE, Verdict.REFUTED} <= set(verdicts)
@@ -453,13 +459,17 @@ class TestWarmStart:
         taller = build_constraint_matrix(SamplingPattern.full(6, 12), 2)
         with pytest.raises(ValueError, match="rows"):
             find_finite_certificate(taller, 2, warm_from=finite)
+        # a certificate built by hand carries no matrix and no tail rows
+        bare = certify.Certificate(Verdict.FINITE, 2, finite.finite_witness)
+        with pytest.raises(ValueError, match="rows"):
+            find_finite_certificate(cm, 2, warm_from=bare)
 
     def test_pebble_state_stays_private(self):
         cm = build_constraint_matrix(SamplingPattern.full(4, 6), 2)
         cert = find_finite_certificate(cm, 2)
-        assert cert._pebbles is not None
-        assert "_pebbles" not in repr(cert)
-        assert "_pebbles" not in json.dumps(cert.to_dict(cm))
+        assert cert._tails is not None
+        assert "_tails" not in repr(cert)
+        assert "_tails" not in json.dumps(cert.to_dict())
         assert cert == certify.Certificate(Verdict.FINITE, 2, cert.finite_witness)
 
 
@@ -714,7 +724,7 @@ class TestPebbleGameOracle:
         game = _PebbleGame(cm, cond)
         members: list[int] = []
 
-        def grow(columns):
+        def grow(game, members, columns):
             for c in columns:
                 if c not in members and game.probe(c) is None:
                     game.add(c)
@@ -722,23 +732,31 @@ class TestPebbleGameOracle:
 
         # grow, drop some members and grow again without them, so the game
         # also answers after removals
-        grow(order)
+        grow(game, members, order)
         for c in [m for m in members if m in dropped]:
             game.remove(c)
             members.remove(c)
-        grow([c for c in order if c not in dropped])
-        if members:
-            assert min_slack(cm, members, cond) >= 0
-        for y in range(len(cm)):
-            if y in members:
-                continue
-            circuit = game.probe(y)
-            assert (circuit is None) == (min_slack(cm, members + [y], cond) >= 0)
-            if circuit is not None:
-                exchangeable = {
-                    x for x in members if min_slack(cm, [m for m in members if m != x] + [y], cond) >= 0
-                }
-                assert circuit == exchangeable
+        grow(game, members, [c for c in order if c not in dropped])
+        # a second game starts warm, as `warm_from` does: the first game's
+        # members pinned on their tail rows, then grown over the whole order
+        warm = _PebbleGame(cm, cond)
+        for c in members:
+            warm.pin(c, game.tail[c])
+        warm_members = list(members)
+        grow(warm, warm_members, order)
+        for game, members in ((game, members), (warm, warm_members)):
+            if members:
+                assert min_slack(cm, members, cond) >= 0
+            for y in range(len(cm)):
+                if y in members:
+                    continue
+                circuit = game.probe(y)
+                assert (circuit is None) == (min_slack(cm, members + [y], cond) >= 0)
+                if circuit is not None:
+                    exchangeable = {
+                        x for x in members if min_slack(cm, [m for m in members if m != x] + [y], cond) >= 0
+                    }
+                    assert circuit == exchangeable
 
 
 class TestExhaustiveOracle:
@@ -784,7 +802,7 @@ def test_certificates_reproduce_recorded_bytes():
     """Certificates of 200 seeded patterns, recorded with the min-cut independence oracle.
 
     Each line holds a pattern (observed rows per column), its rank and the
-    finite and unique `Certificate.to_dict(cm)`.  Any change to the search's
+    finite and unique `Certificate.to_dict()`.  Any change to the search's
     scan order or oracle that alters a witness shows up here.
     """
     lines = _RECORDED.read_text(encoding="utf-8").splitlines()
@@ -794,8 +812,8 @@ def test_certificates_reproduce_recorded_bytes():
         cells = [(i, j) for j, rows in enumerate(entry["columns"]) for i in rows]
         cm = build_constraint_matrix(SamplingPattern.from_cells(entry["d"], entry["N"], cells), entry["r"])
         got = {
-            "finite": find_finite_certificate(cm, entry["r"]).to_dict(cm),
-            "unique": find_unique_certificate(cm, entry["r"]).to_dict(cm),
+            "finite": find_finite_certificate(cm, entry["r"]).to_dict(),
+            "unique": find_unique_certificate(cm, entry["r"]).to_dict(),
         }
         for key, doc in got.items():
             assert json.dumps(doc, sort_keys=True) == json.dumps(entry[key], sort_keys=True), line

@@ -249,7 +249,7 @@ class TestWitnessFilter:
         def cells_after(removed):
             sub = remove_entries(pattern, RemovalSet(frozenset({removed})))
             cm = build_constraint_matrix(sub, 1)
-            return _witness_cells(pattern, cm, certify.find_finite_certificate(cm, 1))
+            return _witness_cells(pattern, certify.find_finite_certificate(cm, 1))
 
         # an extra row leaves column 0's base row 0: the witness is {0,1} in
         # column 0 and {0,2} in column 1, both constraint columns of the pattern
