@@ -123,6 +123,8 @@ class Certificate:
         ):
             if witness is None:
                 continue
+            if self.cm is None:
+                raise ValueError("the certificate carries no constraint matrix for its witness columns")
             doc[name] = {
                 "columns": [
                     {"column": i, "origin": self.cm.origins[i], "rows": list(self.cm.columns[i])}

@@ -18,12 +18,21 @@ and removing other cells of a data column never changes its first r rows, so
 every witness column is still a constraint column afterwards.  Slack depends
 only on the row supports and the origins stay distinct, so the witness is
 still valid, and the exact matroid intersection would have answered
-positive.  A failing removal is therefore always solved, and the verdict, the
-checked count, the failing removal and the reason are those of solving every
-removal.  A solved removal's constraint matrix is the unremoved pattern's
-with the columns of the data columns it touches rebuilt (`rebuild_origins`),
-and its search starts warm from the previous positive certificate
-(`certify`'s `warm_from`), which changes witnesses but never verdicts.
+positive.  A removal the filter leaves is decided once per set J of data
+columns it touches where it can be: the first one searches the unremoved
+pattern's matrix without any constraint column of J.  Removing cells of a
+data column changes only its own constraint columns, so a witness found there
+serves every removal touching exactly J, whichever of J's cells it takes;
+those are accepted unsolved, and the witness joins the filter's.  An
+exclusion that refutes says nothing of a removal that keeps some of J's
+columns, so J's removals are then solved directly.  A failing removal is
+therefore always solved, in order, and the verdict, the checked count, the
+failing removal and the reason are those of solving every removal.  The empty
+removal (its exclusion is its own search) and the row-erasing one below are
+solved directly.  Each search's matrix is the unremoved pattern's with the
+constraint columns of the touched data columns rebuilt (`rebuild_origins`),
+and it starts warm from the previous positive certificate (`certify`'s
+`warm_from`), which changes witnesses but never verdicts.
 
 The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
@@ -181,21 +190,29 @@ def _verify(
 
     base = build_constraint_matrix(pattern, r)
     kept: list[frozenset[Cell]] = []  # cells of witnesses valid in `pattern`, most recent first
+    excluded: dict[frozenset[int], bool] = {}  # touched data columns: a witness avoids them all?
     last = None  # the latest positive certificate, which starts the next search
     checked = 0
     for removal in removals:
         checked += 1
         if any(removal.cells.isdisjoint(cells) for cells in kept):
             continue
-        cm = rebuild_origins(base, pattern, removal.cells)
-        cert = certificate(cm, r, warm_from=last)
-        if cert.verdict == certify.Verdict.REFUTED:
-            return RobustVerdict(
-                RobustOutcome.REFUTED,
-                checked=checked,
-                failing_removal=removal,
-                reason=cert.note,
-            )
+        touched = frozenset(j for _, j in removal.cells)
+        if excluded.get(touched):
+            continue
+        if budget.kind == GLOBAL and touched and touched not in excluded:
+            every = frozenset((i, j) for j in touched for i in pattern.columns[j])
+            cert = certificate(rebuild_origins(base, pattern, every), r, warm_from=last)
+            excluded[touched] = cert.verdict != certify.Verdict.REFUTED
+        if not excluded.get(touched):
+            cert = certificate(rebuild_origins(base, pattern, removal.cells), r, warm_from=last)
+            if cert.verdict == certify.Verdict.REFUTED:
+                return RobustVerdict(
+                    RobustOutcome.REFUTED,
+                    checked=checked,
+                    failing_removal=removal,
+                    reason=cert.note,
+                )
         last = cert
         cells = _witness_cells(pattern, cert)
         if cells is not None:

@@ -385,6 +385,61 @@ class TestUniqueCertificate:
         for entry in doc["finite_witness"]["columns"]:
             assert set(entry) == {"column", "origin", "rows"}
 
+    def test_report_without_a_matrix_rejected(self):
+        # a certificate built by hand has witness indices but no matrix to read them from
+        bare = certify.Certificate(Verdict.FINITE, 2, (0, 1))
+        with pytest.raises(ValueError, match="no constraint matrix"):
+            bare.to_dict()
+        refuted = certify.Certificate(Verdict.REFUTED, 2, note="none")
+        assert refuted.to_dict() == {"verdict": "Refuted", "rank": 2, "note": "none"}
+
+
+class TestAugmentation:
+    def test_origins_stay_distinct_after_flips(self, monkeypatch):
+        # seeded sparse patterns (r+1 or r+2 rows per data column, d <= 12,
+        # r <= 3) searched cold for a finite and a unique witness at once;
+        # a round that moves a member out of a game flips a path, and the
+        # entering elements must take over its origins for later rounds
+        events: list[str] = []
+        add, remove = _PebbleGame.add, _PebbleGame.remove
+
+        def added(game, column):
+            events.append("add")
+            add(game, column)
+
+        def removed(game, column):
+            events.append("remove")
+            remove(game, column)
+
+        monkeypatch.setattr(_PebbleGame, "add", added)
+        monkeypatch.setattr(_PebbleGame, "remove", removed)
+        most_flips = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            d = rng.randint(4, 12)
+            r = rng.randint(1, min(3, d - 2))
+            parts = [(CountCondition.finite(r), r * (d - r)), (CountCondition.unique(r), d - r)]
+            if r * (d - r) > 22:  # the enumeration oracle's limit
+                continue
+            N = rng.randint(r * (d - r) + d - r, r * (d - r) + d - r + 4)
+            columns = [sorted(rng.sample(range(d), rng.randint(r + 1, r + 2))) for _ in range(N)]
+            cm = build_constraint_matrix(SamplingPattern(d, columns), r)
+            events.clear()
+            found = certify._max_rainbow_witnesses(cm, parts)
+            # rounds that flip: each starts with a member leaving its game
+            flips = sum(a == "add" and b == "remove" for a, b in zip(["add", *events], events))
+            most_flips = max(most_flips, flips)
+            if found is None:
+                continue
+            witnesses = [sorted(tails) for tails in found]
+            used = [cm.origins[c] for witness in witnesses for c in witness]
+            assert len(used) == len(set(used))
+            for witness, (cond, size) in zip(witnesses, parts):
+                assert len(witness) == size
+                assert min_slack_exhaustive(cm, witness, cond) >= 0
+        # some search augments at least twice after its first flip
+        assert most_flips >= 3
+
 
 class TestWarmStart:
     """A search started from another certificate's pebble state decides like a cold one."""

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from robustmc import certify, numeric, sim
+from robustmc import certify, numeric, robust, sim
 from robustmc.pattern import (
     NoiseBudget,
     PatternFormatError,
@@ -14,6 +14,7 @@ from robustmc.pattern import (
     SamplingPattern,
     build_constraint_matrix,
     enumerate_removals,
+    rebuild_origins,
     remove_entries,
 )
 from robustmc.robust import (
@@ -259,8 +260,87 @@ class TestWitnessFilter:
         assert cells_after((0, 0)) is None
 
 
+class TestExclusion:
+    def test_matches_resolving_every_removal(self, monkeypatch):
+        # finite global:0-2 and unique global:0-1 on d <= 7, r <= 2, with N
+        # around the number of origins the witnesses need; a search on the
+        # matrix without every column of a removal's data columns is an
+        # exclusion (no removal of the premise empties a data column), and
+        # both of its outcomes must occur
+        find = {False: certify.find_finite_certificate, True: certify.find_unique_certificate}
+        rebuilt = []  # per rebuilt matrix, whether it drops whole data columns
+        outcomes = []  # (exclusion?, refuted?) per certificate search
+
+        def recording(cm, pattern, cells):
+            touched = {j for _, j in cells}
+            rebuilt.append(len(cells) == sum(len(pattern.columns[j]) for j in touched) > 0)
+            return rebuild_origins(cm, pattern, cells)
+
+        def counted(original):
+            def certificate(cm, r, warm_from=None):
+                cert = original(cm, r, warm_from)
+                outcomes.append((rebuilt[-1], cert.verdict == certify.Verdict.REFUTED))
+                return cert
+
+            return certificate
+
+        monkeypatch.setattr(robust, "rebuild_origins", recording)
+        monkeypatch.setattr(certify, "find_finite_certificate", counted(find[False]))
+        monkeypatch.setattr(certify, "find_unique_certificate", counted(find[True]))
+        rng = random.Random(24)
+        seen, cases = set(), 0
+        while cases < 60:
+            unique = cases % 2 == 1
+            d = rng.randint(3, 7)
+            r = rng.randint(1, min(2, d - 1))
+            s = rng.randint(0, 1 if unique else 2)
+            floor = r + s + unique
+            if floor > d:
+                continue
+            origins = r * (d - r) + (d - r if unique else 0)
+            pattern = random_pattern(rng, d, rng.randint(max(origins - 1, 1), origins + 3), floor)
+            budget = NoiseBudget.global_noise(s)
+            if math.comb(len(set(pattern.cells())), s + unique) > 600:
+                continue
+            cases += 1
+            rebuilt.clear()
+            outcomes.clear()
+            verdict = (verify_unique if unique else verify_finite)(pattern, r, budget)
+            seen.add((verdict.verdict, s, unique))
+            expected = _resolve_every_removal(pattern, r, budget, unique, find[unique])
+            assert verdict.to_dict() == expected
+            # a refuted exclusion falls through to the direct search, which
+            # alone can refute the verdict
+            for (excluded, refuted), (then_excluded, _) in zip(outcomes, outcomes[1:]):
+                assert not (excluded and refuted and then_excluded)
+            assert not outcomes or not outcomes[-1][0] or not outcomes[-1][1]
+            seen.update(("exclusion", refuted) for excluded, refuted in outcomes if excluded)
+        assert {("exclusion", False), ("exclusion", True)} <= seen
+        for s, unique in ((0, False), (1, False), (2, False), (0, True), (1, True)):
+            assert {(RobustOutcome.FINITE, s, unique), (RobustOutcome.UNIQUE, s, unique)} & seen
+
+
 class TestResearchScale:
     """Verdicts at d=32 (r=3, l=12), solved warm over long removal chains."""
+
+    @pytest.mark.parametrize(
+        "N, unique, s, bound", [(93, False, 1, 100), (130, True, 0, 140)], ids=["finite", "unique"]
+    )
+    def test_one_search_decides_each_data_column(self, monkeypatch, N, unique, s, bound):
+        # 1,116 and 1,560 removals; all of a data column's removals are
+        # cleared by one exclusion search, so about one search per column
+        name = "find_unique_certificate" if unique else "find_finite_certificate"
+        original, calls = getattr(certify, name), [0]
+
+        def counted(cm, r, warm_from=None):
+            calls[0] += 1
+            return original(cm, r, warm_from)
+
+        monkeypatch.setattr(certify, name, counted)
+        pattern = sim.sample_pattern(32, N, 12, np.random.default_rng(0))
+        verdict = (verify_unique if unique else verify_finite)(pattern, 3, NoiseBudget.global_noise(s))
+        assert verdict.verdict == (RobustOutcome.UNIQUE if unique else RobustOutcome.FINITE)
+        assert calls[0] <= bound
 
     def test_finite_global_one(self):
         pattern = sim.sample_pattern(32, 93, 12, np.random.default_rng(0))
