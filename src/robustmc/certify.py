@@ -159,15 +159,18 @@ def _prefix_scan(
     (capacity k) has minimum cut n - |S| + k*rows(S) at the best S.  A flow
     routes each column into one of its rows, at most k per row; a path
     alternates column -> row and full row -> a column routed into it until it
-    ends at a row below k.  Each column in turn is the anchor, the last column
-    of S: forced into S, its source edge is infinite, so from a max flow of
-    the columns before it, it pushes until no path is left, and that flow plus
-    its units, minus anchor+1 + k*r, is the minimum over the S ending at it.
-    A column the flow could not route never finds a path later (Kuhn's
-    argument: paths from other sources open none for it).  One column raises a
-    max flow by at most 1, so giving back all but one of the anchor's units
-    leaves a max flow for the next anchor.  With a floor, an anchor stops once
-    its value reaches it, and the first value below it is returned.
+    ends at a row below k.  Every unit goes through `push`, which routes it
+    into the first of the source's rows below k, as the search's first level
+    would, and searches only when there is none.  Each column in turn is the
+    anchor, the last column of S: forced into S, its source edge is infinite,
+    so from a max flow of the columns before it, it pushes until no path is
+    left, and that flow plus its units, minus anchor+1 + k*r, is the minimum
+    over the S ending at it.  A column the flow could not route never finds a
+    path later (Kuhn's argument: paths from other sources open none for it).
+    One column raises a max flow by at most 1, so giving back all but one of
+    the anchor's units leaves a max flow for the next anchor.  With a floor,
+    an anchor stops once its value reaches it, and the first value below it
+    is returned.
 
     The first `known` columns are no anchors: they are routed one unit each,
     which gives a max flow of them (Kuhn's argument again), and only the S
@@ -180,6 +183,10 @@ def _prefix_scan(
 
     def push(source: int) -> bool:
         """Route one more unit of the source along a shortest path, if there is one."""
+        for row in columns[source]:  # a path of one edge, without a search
+            if len(routed[row]) < k:
+                routed[row].append(source)
+                return True
         parent = [-2] * n  # the row a column was reached from; -1 at the source, -2 unreached
         parent[source] = -1
         reached = [-1] * cm.d  # the column a row was reached from
@@ -204,20 +211,10 @@ def _prefix_scan(
 
     flow = 0
     for column in range(known):  # one unit each: a max flow of the prefix
-        for row in columns[column]:  # a path of one edge, without a search
-            if len(routed[row]) < k:
-                routed[row].append(column)
-                flow += 1
-                break
-        else:
-            flow += push(column)
+        flow += push(column)
     lowest = k  # every single column has value k - 1
     for anchor in range(known, n):
         value = start = flow - anchor - 1 - k * cond.r  # before the anchor's first unit
-        for row in columns[anchor]:  # paths of one edge, without a search
-            while len(routed[row]) < k and (floor is None or value < floor):
-                routed[row].append(anchor)
-                value += 1
         while (floor is None or value < floor) and push(anchor):
             value += 1
         if floor is not None and value < floor:

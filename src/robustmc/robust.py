@@ -9,29 +9,29 @@ decided, so the only Indeterminate is an enumeration larger than the
 configurable cap.
 
 Global enumeration runs in lexicographic order and stops at the first
-failure, but not every removal needs a certificate.  The cells of the 32
-latest positive witnesses (or witness pairs) whose columns are all
-constraint columns of the unremoved pattern are kept, and a removal that
-touches none of the cells of one of them is accepted unsolved.  Such a
+failure, but not every removal needs a certificate.  A removal is decided
+once per set J of data columns it touches where it can be: the first one
+searches the unremoved pattern's matrix without any constraint column of J,
+an exclusion.  Removing cells of a data column changes only its own
+constraint columns, so a positive exclusion serves every removal touching
+exactly J, whichever of J's cells it takes; those are accepted unsolved.  An
+exclusion that refutes says nothing of a removal that keeps some of J's
+columns, so J's removals are then solved directly, and a direct search is
+read only to see whether it refutes.  The cells of the 32 latest exclusion
+witnesses (or witness pairs) are kept as well, and a removal that touches
+none of the cells of one of them is accepted unsolved.  Their columns are
+the unremoved pattern's own constraint columns, by construction.  Such a
 removal leaves each witness column's first r rows and extra row observed,
 and removing other cells of a data column never changes its first r rows, so
 every witness column is still a constraint column afterwards.  Slack depends
 only on the row supports and the origins stay distinct, so the witness is
 still valid, and the exact matroid intersection would have answered
-positive.  A removal the filter leaves is decided once per set J of data
-columns it touches where it can be: the first one searches the unremoved
-pattern's matrix without any constraint column of J.  Removing cells of a
-data column changes only its own constraint columns, so a witness found there
-serves every removal touching exactly J, whichever of J's cells it takes;
-those are accepted unsolved, and the witness joins the filter's.  An
-exclusion that refutes says nothing of a removal that keeps some of J's
-columns, so J's removals are then solved directly.  A failing removal is
-therefore always solved, in order, and the verdict, the checked count, the
-failing removal and the reason are those of solving every removal.  The empty
-removal (its exclusion is its own search) and the row-erasing one below are
+positive.  A failing removal is therefore always solved, in order, and the
+verdict, the checked count, the failing removal and the reason are those of
+solving every removal.  The empty removal and the row-erasing one below are
 solved directly.  Each search's matrix is the unremoved pattern's with the
 constraint columns of the touched data columns rebuilt (`rebuild_origins`),
-and it starts warm from the previous positive certificate (`certify`'s
+and it starts warm from the latest positive exclusion (`certify`'s
 `warm_from`), which changes witnesses but never verdicts.
 
 The per-column quantifier needs no enumeration.  Once the premise holds, its
@@ -137,23 +137,12 @@ def _row_erasing_removal(pattern: SamplingPattern, need: int) -> RemovalSet:
     )
 
 
-def _witness_cells(pattern: SamplingPattern, cert: certify.Certificate) -> frozenset[Cell] | None:
-    """The cells a positive certificate's witnesses touch, or None unless every
-    witness column is also a constraint column of `pattern`.
-
-    `cert.cm` comes from `pattern` less some cells, so a witness column (j, rows)
-    has its extra row rows[r] observed in `pattern` after rows[:r]; it is a
-    constraint column of `pattern` when rows[:r] are still the first r
-    observed rows of data column j there.
-    """
-    cm, r = cert.cm, cert.r
-    cells: set[Cell] = set()
+def _witness_cells(cert: certify.Certificate) -> frozenset[Cell]:
+    """The cells a positive exclusion's witnesses touch: constraint columns of the unremoved pattern."""
+    cm, cells = cert.cm, set()
     for witness in (cert.finite_witness, cert.unique_witness):
         for c in witness or ():
-            j, rows = cm.origins[c], cm.columns[c]
-            if rows[:r] != pattern.columns[j][:r]:
-                return None
-            cells.update((i, j) for i in rows)
+            cells.update((i, cm.origins[c]) for i in cm.columns[c])
     return frozenset(cells)
 
 
@@ -189,35 +178,33 @@ def _verify(
         removals = [_row_erasing_removal(pattern, budget.amount + 1)]
 
     base = build_constraint_matrix(pattern, r)
-    kept: list[frozenset[Cell]] = []  # cells of witnesses valid in `pattern`, most recent first
+    kept: list[frozenset[Cell]] = []  # cells of exclusion witnesses, most recent first
     excluded: dict[frozenset[int], bool] = {}  # touched data columns: a witness avoids them all?
-    last = None  # the latest positive certificate, which starts the next search
+    last = None  # the latest positive exclusion, which starts the next search
     checked = 0
     for removal in removals:
         checked += 1
         if any(removal.cells.isdisjoint(cells) for cells in kept):
             continue
         touched = frozenset(j for _, j in removal.cells)
-        if excluded.get(touched):
-            continue
         if budget.kind == GLOBAL and touched and touched not in excluded:
             every = frozenset((i, j) for j in touched for i in pattern.columns[j])
             cert = certificate(rebuild_origins(base, pattern, every), r, warm_from=last)
             excluded[touched] = cert.verdict != certify.Verdict.REFUTED
-        if not excluded.get(touched):
-            cert = certificate(rebuild_origins(base, pattern, removal.cells), r, warm_from=last)
-            if cert.verdict == certify.Verdict.REFUTED:
-                return RobustVerdict(
-                    RobustOutcome.REFUTED,
-                    checked=checked,
-                    failing_removal=removal,
-                    reason=cert.note,
-                )
-        last = cert
-        cells = _witness_cells(pattern, cert)
-        if cells is not None:
-            kept.insert(0, cells)
-            del kept[_KEPT_WITNESSES:]
+            if excluded[touched]:
+                last = cert
+                kept.insert(0, _witness_cells(cert))
+                del kept[_KEPT_WITNESSES:]
+        if excluded.get(touched):
+            continue
+        cert = certificate(rebuild_origins(base, pattern, removal.cells), r, warm_from=last)
+        if cert.verdict == certify.Verdict.REFUTED:
+            return RobustVerdict(
+                RobustOutcome.REFUTED,
+                checked=checked,
+                failing_removal=removal,
+                reason=cert.note,
+            )
     if budget.kind != GLOBAL:
         raise RuntimeError("internal error: a row-erasing removal kept a certificate")
     return RobustVerdict(positive, checked=checked)
@@ -419,20 +406,6 @@ def identify_noise_support(
     if len(family) == 1 and probed.get(family[0]):
         return family[0]
     return _fit_in_order(noisy_observations, pattern, r, s, fit_tolerance, family)
-
-
-def serialize_observations(pattern: SamplingPattern, values: dict[Cell, float]) -> str:
-    """Text form: `d N` header then one `row col value` line per cell, ascending.
-    A missing or non-finite value raises ValueError."""
-    lines = [f"{pattern.d} {pattern.N}"]
-    for cell in pattern.cells():
-        if cell not in values:
-            raise ValueError(f"missing value for observed cell {cell}")
-        value = float(values[cell])
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {value!r} for cell {cell}")
-        lines.append(f"{cell[0]} {cell[1]} {value!r}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_observations(text: str) -> tuple[SamplingPattern, dict[Cell, float]]:

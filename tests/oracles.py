@@ -1,15 +1,17 @@
-"""Reference implementations the tests compare the library against, and a
-reader for the sweep CSV the library only writes."""
+"""Reference implementations the tests compare the library against, a
+reader for the sweep CSV the library only writes, and a writer for the
+observation format the library only reads."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from robustmc.bounds import SWEEP_HEADER, SweepRow
 from robustmc.certify import CountCondition
-from robustmc.pattern import ConstraintMatrix
+from robustmc.pattern import Cell, ConstraintMatrix, SamplingPattern
 
 # the enumeration oracle runs over blocks of 2**12 subsets
 _BLOCK_BITS = 12
@@ -76,3 +78,17 @@ def parse_sweep_csv(text: str) -> list[SweepRow]:
             )
         )
     return rows
+
+
+def serialize_observations(pattern: SamplingPattern, values: dict[Cell, float]) -> str:
+    """Text form: `d N` header then one `row col value` line per cell, ascending.
+    A missing or non-finite value raises ValueError."""
+    lines = [f"{pattern.d} {pattern.N}"]
+    for cell in pattern.cells():
+        if cell not in values:
+            raise ValueError(f"missing value for observed cell {cell}")
+        value = float(values[cell])
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r} for cell {cell}")
+        lines.append(f"{cell[0]} {cell[1]} {value!r}")
+    return "\n".join(lines) + "\n"

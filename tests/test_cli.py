@@ -11,9 +11,8 @@ import robustmc
 from robustmc import numeric, sim
 from robustmc.cli import run
 from robustmc.pattern import NoiseBudget, SamplingPattern, serialize_pattern
-from robustmc.robust import serialize_observations
 
-from oracles import parse_sweep_csv
+from oracles import parse_sweep_csv, serialize_observations
 
 
 def invoke(argv):

@@ -27,10 +27,11 @@ from robustmc.robust import (
     _witness_cells,
     identify_noise_support,
     parse_observations,
-    serialize_observations,
     verify_finite,
     verify_unique,
 )
+
+from oracles import serialize_observations
 
 
 def random_pattern(rng, d, N, r):
@@ -244,20 +245,50 @@ class TestWitnessFilter:
         assert skipped > 0
         assert {RobustOutcome.FINITE, RobustOutcome.UNIQUE, RobustOutcome.REFUTED} <= outcomes
 
-    def test_keeps_only_witnesses_made_of_the_patterns_own_columns(self):
-        pattern = SamplingPattern.full(3, 2)
+    def test_keeps_only_the_patterns_own_columns(self, monkeypatch):
+        # every certificate the filter reads, on TestExclusion's seeded set,
+        # is made of constraint columns of the unremoved pattern, with the
+        # same origin and rows
+        received = []
 
-        def cells_after(removed):
-            sub = remove_entries(pattern, RemovalSet(frozenset({removed})))
-            cm = build_constraint_matrix(sub, 1)
-            return _witness_cells(pattern, certify.find_finite_certificate(cm, 1))
+        def recording(cert):
+            received.append(cert)
+            return _witness_cells(cert)
 
-        # an extra row leaves column 0's base row 0: the witness is {0,1} in
-        # column 0 and {0,2} in column 1, both constraint columns of the pattern
-        assert cells_after((2, 0)) == {(0, 0), (1, 0), (0, 1), (2, 1)}
-        # a base row moves column 0's base to row 1, and its column {1,2} is
-        # not one of the pattern's, so the witness is not kept
-        assert cells_after((0, 0)) is None
+        monkeypatch.setattr(robust, "_witness_cells", recording)
+        read = 0
+        for pattern, r, budget, unique in _exclusion_cases():
+            received.clear()
+            (verify_unique if unique else verify_finite)(pattern, r, budget)
+            base = build_constraint_matrix(pattern, r)
+            own = set(zip(base.origins, base.columns))
+            for cert in received:
+                for witness in (cert.finite_witness, cert.unique_witness):
+                    for c in witness or ():
+                        assert (cert.cm.origins[c], cert.cm.columns[c]) in own
+            read += len(received)
+        assert read > 0
+
+
+def _exclusion_cases():
+    """TestExclusion's seeded set: (pattern, r, budget, unique), finite and unique in turn."""
+    rng = random.Random(24)
+    cases = 0
+    while cases < 60:
+        unique = cases % 2 == 1
+        d = rng.randint(3, 7)
+        r = rng.randint(1, min(2, d - 1))
+        s = rng.randint(0, 1 if unique else 2)
+        floor = r + s + unique
+        if floor > d:
+            continue
+        origins = r * (d - r) + (d - r if unique else 0)
+        pattern = random_pattern(rng, d, rng.randint(max(origins - 1, 1), origins + 3), floor)
+        budget = NoiseBudget.global_noise(s)
+        if math.comb(len(set(pattern.cells())), s + unique) > 600:
+            continue
+        cases += 1
+        yield pattern, r, budget, unique
 
 
 class TestExclusion:
