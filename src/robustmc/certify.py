@@ -507,10 +507,15 @@ def _pinned(
     return pinned
 
 
+def witness_parts(r: int, d: int, unique: bool) -> list[tuple[CountCondition, int]]:
+    """Each witness's condition and size: r*(d-r) columns at k=r, plus d-r more at k=1 if unique."""
+    return [(CountCondition.finite(r), r * (d - r))] + [(CountCondition.unique(r), d - r)] * unique
+
+
 def _certificate(
     cm: ConstraintMatrix, r: int, unique: bool, warm_from: Certificate | None
 ) -> Certificate:
-    """Origin-distinct witnesses: r*(d-r) columns at k=r, plus d-r more at k=1 if unique.
+    """Origin-distinct witnesses, one per part of `witness_parts`.
 
     Decided exactly by one matroid intersection with one copy of the columns
     per witness (see `_max_rainbow_witnesses`), so the verdict is always
@@ -520,9 +525,7 @@ def _certificate(
         raise ValueError("constraint matrix was built with a different rank")
     positive = Verdict.UNIQUE if unique else Verdict.FINITE
     pinned = () if warm_from is None else _pinned(cm, warm_from, positive)
-    parts = [(CountCondition.finite(r), r * (cm.d - r))]
-    if unique:
-        parts.append((CountCondition.unique(r), cm.d - r))
+    parts = witness_parts(r, cm.d, unique)
     required = sum(size for _, size in parts)
     available = len(set(cm.origins))
     if available < required:

@@ -8,31 +8,29 @@ budgets remove exactly g+1 cells per column for both.  Certificates are always
 decided, so the only Indeterminate is an enumeration larger than the
 configurable cap.
 
-Global enumeration runs in lexicographic order and stops at the first
-failure, but not every removal needs a certificate.  A removal is decided
-once per set J of data columns it touches where it can be: the first one
-searches the unremoved pattern's matrix without any constraint column of J,
-an exclusion.  Removing cells of a data column changes only its own
-constraint columns, so a positive exclusion serves every removal touching
-exactly J, whichever of J's cells it takes; those are accepted unsolved.  An
-exclusion that refutes says nothing of a removal that keeps some of J's
-columns, so J's removals are then solved directly, and a direct search is
-read only to see whether it refutes.  The cells of the 32 latest exclusion
-witnesses (or witness pairs) are kept as well, and a removal that touches
-none of the cells of one of them is accepted unsolved.  Their columns are
-the unremoved pattern's own constraint columns, by construction.  Such a
-removal leaves each witness column's first r rows and extra row observed,
-and removing other cells of a data column never changes its first r rows, so
-every witness column is still a constraint column afterwards.  Slack depends
-only on the row supports and the origins stay distinct, so the witness is
-still valid, and the exact matroid intersection would have answered
-positive.  A failing removal is therefore always solved, in order, and the
-verdict, the checked count, the failing removal and the reason are those of
-solving every removal.  The empty removal and the row-erasing one below are
-solved directly.  Each search's matrix is the unremoved pattern's with the
-constraint columns of the touched data columns rebuilt (`rebuild_origins`),
-and it starts warm from the latest positive exclusion (`certify`'s
-`warm_from`), which changes witnesses but never verdicts.
+A global verdict is decided from blocks of data columns where it can be.
+Removing cells of a data column changes only its own constraint columns, so a
+search on the unremoved pattern's matrix without every constraint column of a
+block (an exclusion) that finds a certificate serves every removal confined
+to the block, whose matrix holds that one.  The data columns are split in
+order into groups of m = max(1, slack // (2*need)) columns, the slack being
+the origins available beyond those the witnesses need, and the blocks are the
+unions of `need` groups (of all of them when fewer), so every removal lies in
+one.  They are searched in `combinations` order, each warm from the latest
+positive exclusion (`certify`'s `warm_from`), which changes witnesses but
+never verdicts.  When all are positive, so is the verdict, with every removal
+counted checked and none enumerated.
+
+After a refuted block, the removals are enumerated in lexicographic order up
+to the first failure.  One inside a block searched before it is accepted by
+lookup; any other is cleared once per set J of data columns it touches where
+the exclusion of J finds a certificate, and otherwise searched directly, read
+only to see whether it refutes.  A failing removal is therefore always
+solved, in order, and the verdict, the checked count, the failing removal and
+the reason are those of solving every removal.  The empty removal and the
+row-erasing one below are solved directly.  Each matrix is the unremoved
+pattern's with the constraint columns of the touched data columns rebuilt
+(`rebuild_origins`).
 
 The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
@@ -68,8 +66,6 @@ from .pattern import (
 )
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-# witness cell sets the global enumeration keeps for its filter
-_KEPT_WITNESSES = 32
 
 
 class RobustOutcome(Enum):
@@ -137,15 +133,6 @@ def _row_erasing_removal(pattern: SamplingPattern, need: int) -> RemovalSet:
     )
 
 
-def _witness_cells(cert: certify.Certificate) -> frozenset[Cell]:
-    """The cells a positive exclusion's witnesses touch: constraint columns of the unremoved pattern."""
-    cm, cells = cert.cm, set()
-    for witness in (cert.finite_witness, cert.unique_witness):
-        for c in witness or ():
-            cells.update((i, cm.origins[c]) for i in cm.columns[c])
-    return frozenset(cells)
-
-
 def _verify(
     pattern: SamplingPattern,
     r: int,
@@ -163,7 +150,24 @@ def _verify(
         return RobustVerdict(RobustOutcome.REFUTED, reason=failure, premise_violation=True)
 
     certificate = certify.find_unique_certificate if unique else certify.find_finite_certificate
-    if budget.kind == GLOBAL:
+    base = build_constraint_matrix(pattern, r)
+    last = None  # the latest positive exclusion, which starts the next search
+
+    def excludes(columns) -> bool:
+        """Whether the matrix without every constraint column of `columns` keeps a certificate."""
+        nonlocal last
+        every = frozenset((i, j) for j in columns for i in pattern.columns[j])
+        cert = certificate(rebuild_origins(base, pattern, every), r, warm_from=last)
+        if found := cert.verdict != certify.Verdict.REFUTED:
+            last = cert
+        return found
+
+    refuted = None  # the first refuted block, once blocks were searched
+    if budget.kind != GLOBAL:
+        # the premise gives r < d; with a row empty, a finite witness W would
+        # need r*rows(W) >= |W| + r*r = r*d while rows(W) <= d-1
+        removals = [_row_erasing_removal(pattern, budget.amount + 1)]
+    else:
         need = budget.amount + unique
         total = math.comb(pattern.size(), need)
         if total > enumeration_cap:
@@ -171,40 +175,33 @@ def _verify(
                 RobustOutcome.INDETERMINATE,
                 reason=f"{total} removal patterns exceed the enumeration cap of {enumeration_cap}",
             )
+        if need:
+            witnesses = sum(size for _, size in certify.witness_parts(r, pattern.d, unique))
+            m = max(1, (len(set(base.origins)) - witnesses) // (2 * need))
+            groups = tuple(range(-(-pattern.N // m)))
+            size = min(need, len(groups))
+            for block in combinations(groups, size):
+                if not excludes(j for j in range(pattern.N) if j // m in block):
+                    refuted = block
+                    break
+            else:
+                return RobustVerdict(positive, checked=total)
         removals = enumerate_removals(pattern, need)
-    else:
-        # the premise gives r < d; with a row empty, a finite witness W would
-        # need r*rows(W) >= |W| + r*r = r*d while rows(W) <= d-1
-        removals = [_row_erasing_removal(pattern, budget.amount + 1)]
 
-    base = build_constraint_matrix(pattern, r)
-    kept: list[frozenset[Cell]] = []  # cells of exclusion witnesses, most recent first
-    excluded: dict[frozenset[int], bool] = {}  # touched data columns: a witness avoids them all?
-    last = None  # the latest positive exclusion, which starts the next search
+    excluded: dict[frozenset[int], bool] = {}  # touched data columns: cleared without a direct search?
     checked = 0
     for removal in removals:
         checked += 1
-        if any(removal.cells.isdisjoint(cells) for cells in kept):
-            continue
         touched = frozenset(j for _, j in removal.cells)
-        if budget.kind == GLOBAL and touched and touched not in excluded:
-            every = frozenset((i, j) for j in touched for i in pattern.columns[j])
-            cert = certificate(rebuild_origins(base, pattern, every), r, warm_from=last)
-            excluded[touched] = cert.verdict != certify.Verdict.REFUTED
-            if excluded[touched]:
-                last = cert
-                kept.insert(0, _witness_cells(cert))
-                del kept[_KEPT_WITNESSES:]
+        if refuted is not None and touched not in excluded:
+            # J lies in a positive block iff the first block holding its groups precedes the refuted one
+            first = next(_supersets(tuple(sorted({j // m for j in touched})), groups, size))
+            excluded[touched] = first < refuted or excludes(touched)
         if excluded.get(touched):
             continue
         cert = certificate(rebuild_origins(base, pattern, removal.cells), r, warm_from=last)
         if cert.verdict == certify.Verdict.REFUTED:
-            return RobustVerdict(
-                RobustOutcome.REFUTED,
-                checked=checked,
-                failing_removal=removal,
-                reason=cert.note,
-            )
+            return RobustVerdict(RobustOutcome.REFUTED, checked, removal, cert.note)
     if budget.kind != GLOBAL:
         raise RuntimeError("internal error: a row-erasing removal kept a certificate")
     return RobustVerdict(positive, checked=checked)

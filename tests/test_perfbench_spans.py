@@ -24,13 +24,14 @@ def test_tracer_installs_traces_and_uninstalls():
     tracer.install()
     try:
         assert all(getattr(m, a) is not f for (m, a), f in zip(patched, originals))
-        verdict = tracer.run_op(
-            0, robust.verify_finite, SamplingPattern.full(3, 4), 1, NoiseBudget.global_noise(1)
-        )
+        # a refuted global verdict: only a refuted block starts enumerating removals
+        pattern = SamplingPattern.from_cells(3, 2, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
+        verdict = tracer.run_op(0, robust.verify_finite, pattern, 1, NoiseBudget.global_noise(1))
     finally:
         tracer.uninstall()
     assert all(getattr(m, a) is f for (m, a), f in zip(patched, originals))
     counts = tracer.op_counts[0]
     assert counts["robust.verify.calls"] == 1
-    assert counts["removals_checked"] == verdict.checked == 12
+    assert verdict.verdict == robust.RobustOutcome.REFUTED
+    assert counts["removals_checked"] == verdict.checked == 2
     assert counts["pattern.enumerate_removals.calls"] == 1

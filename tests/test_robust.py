@@ -24,7 +24,6 @@ from robustmc.robust import (
     _fit_in_order,
     _holding,
     _small_hitting_sets,
-    _witness_cells,
     identify_noise_support,
     parse_observations,
     verify_finite,
@@ -192,7 +191,7 @@ class TestVerifyUnique:
 
 
 def _resolve_every_removal(pattern, r, budget, unique, find) -> dict:
-    """The global verdict without the witness filter: one certificate per removal."""
+    """The global verdict from one certificate per removal, none skipped."""
     checked = 0
     for removal in enumerate_removals(pattern, budget.amount + unique):
         checked += 1
@@ -207,7 +206,7 @@ class TestWitnessFilter:
     def test_matches_resolving_every_removal(self, monkeypatch):
         # finite global:0-2 and unique global:0-1 on d <= 7, r <= 2, with N
         # around the number of origins the witnesses need, so both verdicts
-        # occur; certificate calls are counted to see the filter skip removals
+        # occur; certificate calls are counted to see removals skipped
         find = {False: certify.find_finite_certificate, True: certify.find_unique_certificate}
         calls = [0]
 
@@ -245,30 +244,6 @@ class TestWitnessFilter:
         assert skipped > 0
         assert {RobustOutcome.FINITE, RobustOutcome.UNIQUE, RobustOutcome.REFUTED} <= outcomes
 
-    def test_keeps_only_the_patterns_own_columns(self, monkeypatch):
-        # every certificate the filter reads, on TestExclusion's seeded set,
-        # is made of constraint columns of the unremoved pattern, with the
-        # same origin and rows
-        received = []
-
-        def recording(cert):
-            received.append(cert)
-            return _witness_cells(cert)
-
-        monkeypatch.setattr(robust, "_witness_cells", recording)
-        read = 0
-        for pattern, r, budget, unique in _exclusion_cases():
-            received.clear()
-            (verify_unique if unique else verify_finite)(pattern, r, budget)
-            base = build_constraint_matrix(pattern, r)
-            own = set(zip(base.origins, base.columns))
-            for cert in received:
-                for witness in (cert.finite_witness, cert.unique_witness):
-                    for c in witness or ():
-                        assert (cert.cm.origins[c], cert.cm.columns[c]) in own
-            read += len(received)
-        assert read > 0
-
 
 def _exclusion_cases():
     """TestExclusion's seeded set: (pattern, r, budget, unique), finite and unique in turn."""
@@ -295,12 +270,14 @@ class TestExclusion:
     def test_matches_resolving_every_removal(self, monkeypatch):
         # finite global:0-2 and unique global:0-1 on d <= 7, r <= 2, with N
         # around the number of origins the witnesses need; a search on the
-        # matrix without every column of a removal's data columns is an
-        # exclusion (no removal of the premise empties a data column), and
-        # both of its outcomes must occur
+        # matrix without every column of some data columns is an exclusion
+        # (no removal of the premise empties a data column); blocks are
+        # searched before the removal loop, exclusions of J within it, and
+        # every outcome of both must occur
         find = {False: certify.find_finite_certificate, True: certify.find_unique_certificate}
         rebuilt = []  # per rebuilt matrix, whether it drops whole data columns
         outcomes = []  # (exclusion?, refuted?) per certificate search
+        loop = []  # searches made before the removal loop started
 
         def recording(cm, pattern, cells):
             touched = {j for _, j in cells}
@@ -315,63 +292,107 @@ class TestExclusion:
 
             return certificate
 
+        def enumerating(pattern, size):
+            loop.append(len(outcomes))
+            return enumerate_removals(pattern, size)
+
         monkeypatch.setattr(robust, "rebuild_origins", recording)
+        monkeypatch.setattr(robust, "enumerate_removals", enumerating)
         monkeypatch.setattr(certify, "find_finite_certificate", counted(find[False]))
         monkeypatch.setattr(certify, "find_unique_certificate", counted(find[True]))
-        rng = random.Random(24)
-        seen, cases = set(), 0
-        while cases < 60:
-            unique = cases % 2 == 1
-            d = rng.randint(3, 7)
-            r = rng.randint(1, min(2, d - 1))
-            s = rng.randint(0, 1 if unique else 2)
-            floor = r + s + unique
-            if floor > d:
-                continue
-            origins = r * (d - r) + (d - r if unique else 0)
-            pattern = random_pattern(rng, d, rng.randint(max(origins - 1, 1), origins + 3), floor)
-            budget = NoiseBudget.global_noise(s)
-            if math.comb(len(set(pattern.cells())), s + unique) > 600:
-                continue
-            cases += 1
+        seen = set()
+        for pattern, r, budget, unique in _exclusion_cases():
             rebuilt.clear()
             outcomes.clear()
+            loop.clear()
+            s = budget.amount
             verdict = (verify_unique if unique else verify_finite)(pattern, r, budget)
             seen.add((verdict.verdict, s, unique))
             expected = _resolve_every_removal(pattern, r, budget, unique, find[unique])
             assert verdict.to_dict() == expected
+            # every block before the last is positive, and only a refuted
+            # last block starts the removal loop
+            start = loop[0] if loop else len(outcomes)
+            blocks, searches = outcomes[:start], outcomes[start:]
+            assert all(excluded for excluded, _ in blocks)
+            assert not any(refuted for _, refuted in blocks[:-1])
+            assert bool(loop) == (s + unique == 0 or blocks[-1][1])
+            seen.update(("block", refuted) for _, refuted in blocks)
             # a refuted exclusion falls through to the direct search, which
             # alone can refute the verdict
-            for (excluded, refuted), (then_excluded, _) in zip(outcomes, outcomes[1:]):
+            for (excluded, refuted), (then_excluded, _) in zip(searches, searches[1:]):
                 assert not (excluded and refuted and then_excluded)
             assert not outcomes or not outcomes[-1][0] or not outcomes[-1][1]
-            seen.update(("exclusion", refuted) for excluded, refuted in outcomes if excluded)
-        assert {("exclusion", False), ("exclusion", True)} <= seen
+            seen.update(("exclusion", refuted) for excluded, refuted in searches if excluded)
+        assert {("block", False), ("block", True), ("exclusion", False), ("exclusion", True)} <= seen
         for s, unique in ((0, False), (1, False), (2, False), (0, True), (1, True)):
             assert {(RobustOutcome.FINITE, s, unique), (RobustOutcome.UNIQUE, s, unique)} & seen
 
+    def test_blocks_of_several_columns_match_resolving_every_removal(self, monkeypatch):
+        # N well past the origins the witnesses need, so a block holds
+        # several data columns, and the last row, whose cells are removed last,
+        # observed in r to r+need columns, so some blocks refute
+        find = {False: certify.find_finite_certificate, True: certify.find_unique_certificate}
+        widths = []  # data columns per whole-column rebuild, before the removal loop
+
+        def recording(cm, pattern, cells):
+            widths.append(len({j for _, j in cells}))
+            return rebuild_origins(cm, pattern, cells)
+
+        def enumerating(pattern, size):
+            widths.append(None)
+            return enumerate_removals(pattern, size)
+
+        monkeypatch.setattr(robust, "rebuild_origins", recording)
+        monkeypatch.setattr(robust, "enumerate_removals", enumerating)
+        rng = random.Random(3)
+        refuted, cases = 0, 0
+        while cases < 24:
+            unique = cases % 2 == 1
+            d = rng.randint(4, 6)
+            r = rng.randint(1, min(2, d - 2))
+            need = rng.randint(1 + unique, 2)
+            if r + need > d - 1:
+                continue
+            N = (r + unique) * (d - r) + rng.randint(4 * need, 4 * need + 4)
+            hits = set(rng.sample(range(N), rng.randint(r, r + need)))
+            cells = [(d - 1, j) for j in hits] + [
+                (i, j) for j in range(N) for i in rng.sample(range(d - 1), rng.randint(r + need, d - 1))
+            ]
+            pattern = SamplingPattern.from_cells(d, N, cells)
+            budget = NoiseBudget.global_noise(need - unique)
+            if math.comb(pattern.size(), need) > 1500:
+                continue
+            cases += 1
+            widths.clear()
+            verdict = (verify_unique if unique else verify_finite)(pattern, r, budget)
+            expected = _resolve_every_removal(pattern, r, budget, unique, find[unique])
+            assert verdict.to_dict() == expected
+            blocks = widths[: widths.index(None)] if None in widths else widths
+            assert max(blocks) > need
+            refuted += verdict.verdict == RobustOutcome.REFUTED
+        assert refuted > 0
+
 
 class TestResearchScale:
-    """Verdicts at d=32 (r=3, l=12), solved warm over long removal chains."""
+    """Verdicts at d=32 (r=3, l=12), decided warm over chains of block exclusions."""
 
-    @pytest.mark.parametrize(
-        "N, unique, s, bound", [(93, False, 1, 100), (130, True, 0, 140)], ids=["finite", "unique"]
-    )
-    def test_one_search_decides_each_data_column(self, monkeypatch, N, unique, s, bound):
-        # 1,116 and 1,560 removals; all of a data column's removals are
-        # cleared by one exclusion search, so about one search per column
-        name = "find_unique_certificate" if unique else "find_finite_certificate"
-        original, calls = getattr(certify, name), [0]
+    @pytest.mark.parametrize("N, unique, s", [(93, False, 1), (130, True, 0)], ids=["finite", "unique"])
+    def test_positive_verdict_makes_no_direct_search(self, monkeypatch, N, unique, s):
+        # 1,116 and 1,560 removals, all cleared by block exclusions: every
+        # rebuilt matrix drops whole data columns, none a removal's cells
+        direct = []  # per rebuilt matrix, whether it keeps some of a data column's cells
 
-        def counted(cm, r, warm_from=None):
-            calls[0] += 1
-            return original(cm, r, warm_from)
+        def recording(cm, pattern, cells):
+            touched = {j for _, j in cells}
+            direct.append(len(cells) != sum(len(pattern.columns[j]) for j in touched))
+            return rebuild_origins(cm, pattern, cells)
 
-        monkeypatch.setattr(certify, name, counted)
+        monkeypatch.setattr(robust, "rebuild_origins", recording)
         pattern = sim.sample_pattern(32, N, 12, np.random.default_rng(0))
         verdict = (verify_unique if unique else verify_finite)(pattern, 3, NoiseBudget.global_noise(s))
         assert verdict.verdict == (RobustOutcome.UNIQUE if unique else RobustOutcome.FINITE)
-        assert calls[0] <= bound
+        assert direct and not any(direct)
 
     def test_finite_global_one(self):
         pattern = sim.sample_pattern(32, 93, 12, np.random.default_rng(0))
