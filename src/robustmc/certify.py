@@ -34,17 +34,20 @@ The intersection asks the count matroid through the (k, k*r) pebble game on
 the rows, kept incrementally as columns enter and leave; a failed pebble
 search also yields the column's fundamental circuit.  A row's free pebbles
 are read from the members it covers, as the validator's row loads are from
-the columns routed into it: no count is kept beside them.  A search can
-start warm from another certificate's witnesses (`warm_from`), which carries
-its matrix (`cm`) and each witness column's tail row: the witness columns
-the matrix still has, found by origin and rows, enter the games pinned on
-those rows.  That is a valid pebble state: the pebble game's proofs use
-only that the members are (k, k*r)-sparse and each is covered from one of
-its own rows, at most k per row, which a witness's pebble state satisfies
-and which dropping members keeps.  The pinned columns are also
-origin-distinct, so they are a common independent set, from which
-augmenting-path intersection is exact (Cunningham, 1986); warm and cold
-searches give the same verdict, though not always the same witness.
+the columns routed into it: no count is kept beside them.  A search can bar
+data columns (`barred`), deciding the matrix without their constraint
+columns, which is never built.  It can start warm from another certificate's
+witnesses (`warm_from`), which carries its matrix (`cm`) and each witness
+column's tail row: the witness columns outside the barred data columns, as
+they stand on the same matrix or found by origin and rows on another, enter
+the games pinned on those rows.  That is a valid pebble state: the pebble
+game's proofs use only that the members are (k, k*r)-sparse and each is
+covered from one of its own rows, at most k per row, which a witness's
+pebble state satisfies and which dropping members keeps (Streinu & Theran,
+2009).  The pinned columns are also origin-distinct, so they are a common
+independent set, from which augmenting-path intersection is exact
+(Cunningham, 1986); warm and cold searches give the same verdict, though
+not always the same witness.
 
 Every found witness is re-checked by `validate_witness`, which shares no
 code with the game: `min_slack`'s exact project-selection min-cut
@@ -357,6 +360,7 @@ def _max_rainbow_witnesses(
     cm: ConstraintMatrix,
     parts: Sequence[tuple[CountCondition, int]],
     pinned: Sequence[Sequence[tuple[int, int]]] = (),
+    barred: frozenset[int] = frozenset(),
 ) -> tuple[dict[int, int], ...] | None:
     """Origin-distinct witnesses, one per (condition, size) part, each as its
     pebble game's {column: tail row}, or None if none exist.
@@ -386,6 +390,7 @@ def _max_rainbow_witnesses(
     independent set at most the part's size, each tail one of its column's
     rows and at most k per row; they enter the games as they are, before the
     greedy seed.  Augmentation is exact from any common independent set.
+    Columns of a `barred` origin, none of them pinned, join no seed and no path.
     """
     n = len(cm)
     caps = [cap for _, cap in parts]
@@ -393,7 +398,7 @@ def _max_rainbow_witnesses(
     games = [_PebbleGame(cm, cond) for cond, _ in parts]
     # element e is column e % n in copy e // n
     members = [game.tail for game in games]  # the games' own {member: tail row} maps
-    origin_member: dict[int, int] = {}  # each used origin's member element
+    origin_member: dict[int, int] = dict.fromkeys(barred, -1)  # each used origin's member, -1 if barred
 
     for p, start in enumerate(pinned):
         for c, row in start:
@@ -412,7 +417,8 @@ def _max_rainbow_witnesses(
                 origin_member[cm.origins[c]] = p * n + c
 
     while sum(map(len, members)) < total:
-        outside = [[p * n + c for c in range(n) if c not in members[p]] for p in range(len(parts))]
+        allowed = [c for c in range(n) if cm.origins[c] not in barred] if barred else range(n)
+        outside = [[p * n + c for c in allowed if c not in members[p]] for p in range(len(parts))]
         circuits: dict[int, frozenset[int] | None] = {}
 
         def circuit(y: int) -> frozenset[int] | None:
@@ -476,10 +482,11 @@ def _max_rainbow_witnesses(
 
 
 def _pinned(
-    cm: ConstraintMatrix, warm_from: Certificate, positive: Verdict
+    cm: ConstraintMatrix, warm_from: Certificate, positive: Verdict, barred: frozenset[int]
 ) -> list[list[tuple[int, int]]]:
-    """Per witness of `warm_from`, its columns that are constraint columns of
-    `cm`, found by origin and rows in `warm_from.cm`, each with the tail row it had.
+    """Per witness of `warm_from`, its columns of an origin outside `barred`
+    that are constraint columns of `cm`, found by origin and rows in
+    `warm_from.cm` unless that is `cm`, each with the tail row it had.
 
     Dropping members is a legal pebble-game move, so these columns keep
     distinct origins, stay (k, k*r)-sparse and stay covered from rows of
@@ -496,9 +503,14 @@ def _pinned(
         raise ValueError(f"warm_from was not found on a constraint matrix of {cm.d} rows")
     pinned = []
     for witness, tails in zip((warm_from.finite_witness, warm_from.unique_witness), warm_from._tails):
+        if old is cm:
+            pinned.append([(c, tail) for c, tail in zip(witness, tails) if cm.origins[c] not in barred])
+            continue
         start = []
         for column, tail in zip(witness, tails):
             origin, rows = old.origins[column], old.columns[column]
+            if origin in barred:
+                continue
             for c in range(bisect_left(cm.origins, origin), bisect_right(cm.origins, origin)):
                 if cm.columns[c] == rows:
                     start.append((c, tail))
@@ -513,9 +525,10 @@ def witness_parts(r: int, d: int, unique: bool) -> list[tuple[CountCondition, in
 
 
 def _certificate(
-    cm: ConstraintMatrix, r: int, unique: bool, warm_from: Certificate | None
+    cm: ConstraintMatrix, r: int, unique: bool, warm_from: Certificate | None, barred: frozenset[int]
 ) -> Certificate:
-    """Origin-distinct witnesses, one per part of `witness_parts`.
+    """Origin-distinct witnesses, one per part of `witness_parts`, with no
+    column of a `barred` origin.
 
     Decided exactly by one matroid intersection with one copy of the columns
     per witness (see `_max_rainbow_witnesses`), so the verdict is always
@@ -524,10 +537,10 @@ def _certificate(
     if r != cm.r:
         raise ValueError("constraint matrix was built with a different rank")
     positive = Verdict.UNIQUE if unique else Verdict.FINITE
-    pinned = () if warm_from is None else _pinned(cm, warm_from, positive)
+    pinned = () if warm_from is None else _pinned(cm, warm_from, positive, barred)
     parts = witness_parts(r, cm.d, unique)
     required = sum(size for _, size in parts)
-    available = len(set(cm.origins))
+    available = len(set(cm.origins).difference(barred))
     if available < required:
         return Certificate(
             Verdict.REFUTED,
@@ -539,7 +552,7 @@ def _certificate(
                 else "fewer source columns with constraint columns than the witness needs"
             ),
         )
-    found = _max_rainbow_witnesses(cm, parts, pinned)
+    found = _max_rainbow_witnesses(cm, parts, pinned, barred)
     if found is None:
         return Certificate(
             Verdict.REFUTED,
@@ -552,6 +565,8 @@ def _certificate(
             ),
         )
     witnesses = [tuple(sorted(tails)) for tails in found]
+    if barred and not barred.isdisjoint(cm.origins[c] for witness in witnesses for c in witness):
+        raise RuntimeError("internal error: a witness column has a barred origin")
     # warm_from's witnesses passed this validation under the same conditions
     previous = ((), ()) if warm_from is None else (warm_from.finite_witness, warm_from.unique_witness)
     for witness, (cond, _), done in zip(witnesses, parts, previous):
@@ -562,14 +577,16 @@ def _certificate(
 
 
 def find_finite_certificate(
-    cm: ConstraintMatrix, r: int, warm_from: Certificate | None = None
+    cm: ConstraintMatrix, r: int, warm_from: Certificate | None = None, barred: frozenset[int] = frozenset()
 ) -> Certificate:
     """Finite or Refuted: one origin-distinct witness of r*(d-r) columns at k=r.
 
-    `warm_from`, a Finite certificate of the same rank and d (typically of a
-    matrix differing in a few columns), starts the search from its witness
-    columns that `cm` still has; the verdict is that of a cold search, and
-    another kind, rank or d raises ValueError.
+    `barred`, a set of data columns, keeps their constraint columns out of the
+    search, as if `cm` had none.  `warm_from`, a Finite certificate of the same
+    rank and d, starts the search from its witness columns outside `barred`:
+    as they stand if it was found on `cm`, else those `cm` has by origin and
+    rows.  The verdict is that of a cold search, and another kind, rank or d
+    raises ValueError.
 
     Precondition: every data column has at least r observed cells.  A column
     with fewer has infinitely many completions but adds no constraint
@@ -577,14 +594,14 @@ def find_finite_certificate(
     columns and one empty column gets Finite at r=1.  `robust.verify_finite`
     refutes such patterns by its premise floor.
     """
-    return _certificate(cm, r, False, warm_from)
+    return _certificate(cm, r, False, warm_from, frozenset(barred))
 
 
 def find_unique_certificate(
-    cm: ConstraintMatrix, r: int, warm_from: Certificate | None = None
+    cm: ConstraintMatrix, r: int, warm_from: Certificate | None = None, barred: frozenset[int] = frozenset()
 ) -> Certificate:
     """Unique or Refuted: origin-disjoint witnesses of r*(d-r) columns at k=r and d-r at k=1.
 
-    `warm_from` is a Unique certificate, as for `find_finite_certificate`.
+    `barred` and `warm_from`, a Unique certificate, are as for `find_finite_certificate`.
     """
-    return _certificate(cm, r, True, warm_from)
+    return _certificate(cm, r, True, warm_from, frozenset(barred))

@@ -12,13 +12,15 @@ A global verdict is decided from blocks of data columns where it can be.
 Removing cells of a data column changes only its own constraint columns, so a
 search on the unremoved pattern's matrix without every constraint column of a
 block (an exclusion) that finds a certificate serves every removal confined
-to the block, whose matrix holds that one.  The data columns are split in
-order into groups of m = max(1, slack // (2*need)) columns, the slack being
-the origins available beyond those the witnesses need, and the blocks are the
-unions of `need` groups (of all of them when fewer), so every removal lies in
-one.  They are searched in `combinations` order, each warm from the latest
-positive exclusion (`certify`'s `warm_from`), which changes witnesses but
-never verdicts.  When all are positive, so is the verdict, with every removal
+to the block, whose matrix holds that one.  It searches that one matrix with
+the block's data columns barred (`certify`'s `barred`), building none.  The
+data columns are split in order into groups of m = max(1, slack // (2*need))
+columns, the slack being the origins available beyond those the witnesses
+need, and the blocks are the unions of `need` groups (of all of them when
+fewer), so every removal lies in one.  They are searched in `combinations`
+order, each warm from the latest positive exclusion (`certify`'s
+`warm_from`), on the same matrix, which changes witnesses but never
+verdicts.  When all are positive, so is the verdict, with every removal
 counted checked and none enumerated.
 
 After a refuted block, the removals are enumerated in lexicographic order up
@@ -28,9 +30,9 @@ the exclusion of J finds a certificate, and otherwise searched directly, read
 only to see whether it refutes.  A failing removal is therefore always
 solved, in order, and the verdict, the checked count, the failing removal and
 the reason are those of solving every removal.  The empty removal and the
-row-erasing one below are solved directly.  Each matrix is the unremoved
-pattern's with the constraint columns of the touched data columns rebuilt
-(`rebuild_origins`).
+row-erasing one below are solved directly.  A direct search gets the
+unremoved pattern's matrix with the constraint columns of the touched data
+columns rebuilt (`rebuild_origins`).
 
 The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
@@ -154,10 +156,9 @@ def _verify(
     last = None  # the latest positive exclusion, which starts the next search
 
     def excludes(columns) -> bool:
-        """Whether the matrix without every constraint column of `columns` keeps a certificate."""
+        """Whether the base matrix keeps a certificate with the data columns `columns` barred."""
         nonlocal last
-        every = frozenset((i, j) for j in columns for i in pattern.columns[j])
-        cert = certificate(rebuild_origins(base, pattern, every), r, warm_from=last)
+        cert = certificate(base, r, warm_from=last, barred=frozenset(columns))
         if found := cert.verdict != certify.Verdict.REFUTED:
             last = cert
         return found

@@ -528,6 +528,73 @@ class TestWarmStart:
         assert cert == certify.Certificate(Verdict.FINITE, 2, cert.finite_witness)
 
 
+def _read(cert):
+    """A certificate's verdict, refutation and witnesses as (origin, rows), free of column indices."""
+    witnesses = [
+        [(cert.cm.origins[c], cert.cm.columns[c]) for c in witness]
+        for witness in (cert.finite_witness, cert.unique_witness)
+        if witness is not None
+    ]
+    return cert.verdict, cert.refutation, witnesses
+
+
+class TestBarred:
+    """A search with data columns barred is that of the matrix without them."""
+
+    def test_matches_the_matrix_rebuilt_without_them(self, monkeypatch):
+        # seeded patterns (d <= 8, r <= 3) with about as many data columns as
+        # the witnesses need origins, so both verdicts occur; a random block B
+        # of data columns is barred on the base matrix, and also removed cell
+        # by cell; both searches find the same witnesses, read as (origin,
+        # rows), cold and warm from the latest positive barred certificate,
+        # as robust verification chains them, and so do both on the matrix
+        # of a one-cell removal, where the warm start is found by origin and rows
+        flips = [0]  # members leaving a game, which only an augmenting path does
+        remove = _PebbleGame.remove
+
+        def counted(game, column):
+            flips[0] += 1
+            remove(game, column)
+
+        monkeypatch.setattr(_PebbleGame, "remove", counted)
+        rng = random.Random(27)
+        seen, augmented = set(), 0
+        for case in range(60):
+            unique = case % 2 == 1
+            d = rng.randint(3, 8)
+            r = rng.randint(1, min(3, d - 1))
+            origins = r * (d - r) + (d - r if unique else 0)
+            N = rng.randint(origins, origins + 6)
+            cells = [(i, j) for j in range(N) for i in rng.sample(range(d), rng.randint(r + 1, d))]
+            pattern = SamplingPattern.from_cells(d, N, cells)
+            find = find_unique_certificate if unique else find_finite_certificate
+            base = build_constraint_matrix(pattern, r)
+            previous = None
+            for _ in range(10):
+                block = frozenset(rng.sample(range(N), rng.randint(1, min(3, N))))
+                every = frozenset((i, j) for j in block for i in pattern.columns[j])
+                rebuilt = rebuild_origins(base, pattern, every)
+                for warm_from in (None, previous):
+                    before = flips[0]
+                    barred = find(base, r, warm_from=warm_from, barred=block)
+                    augmented += flips[0] > before
+                    assert _read(barred) == _read(find(rebuilt, r, warm_from=warm_from))
+                    seen.add((warm_from is not None, barred.verdict))
+                removal = frozenset(rng.sample(cells, 1))
+                moved = find(rebuild_origins(base, pattern, removal), r, warm_from=previous, barred=block)
+                rebuilt = rebuild_origins(base, pattern, removal | every)
+                assert _read(moved) == _read(find(rebuilt, r, warm_from=previous))
+                if barred.verdict == Verdict.REFUTED:
+                    continue
+                assert barred.cm is base
+                witnesses = (barred.finite_witness, barred.unique_witness)[: 1 + unique]
+                assert not any(base.origins[c] in block for witness in witnesses for c in witness)
+                previous = barred
+        assert augmented > 0
+        for warm in (False, True):
+            assert {(warm, Verdict.FINITE), (warm, Verdict.UNIQUE), (warm, Verdict.REFUTED)} <= seen
+
+
 class TestBruteForceAgreement:
     """Certificate existence cross-checked against exhaustive enumeration."""
 

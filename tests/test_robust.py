@@ -14,7 +14,6 @@ from robustmc.pattern import (
     SamplingPattern,
     build_constraint_matrix,
     enumerate_removals,
-    rebuild_origins,
     remove_entries,
 )
 from robustmc.robust import (
@@ -211,9 +210,9 @@ class TestWitnessFilter:
         calls = [0]
 
         def counted(original):
-            def certificate(cm, r, warm_from=None):
+            def certificate(cm, r, warm_from=None, barred=frozenset()):
                 calls[0] += 1
-                return original(cm, r, warm_from)
+                return original(cm, r, warm_from, barred)
 
             return certificate
 
@@ -275,19 +274,13 @@ class TestExclusion:
         # searched before the removal loop, exclusions of J within it, and
         # every outcome of both must occur
         find = {False: certify.find_finite_certificate, True: certify.find_unique_certificate}
-        rebuilt = []  # per rebuilt matrix, whether it drops whole data columns
         outcomes = []  # (exclusion?, refuted?) per certificate search
         loop = []  # searches made before the removal loop started
 
-        def recording(cm, pattern, cells):
-            touched = {j for _, j in cells}
-            rebuilt.append(len(cells) == sum(len(pattern.columns[j]) for j in touched) > 0)
-            return rebuild_origins(cm, pattern, cells)
-
         def counted(original):
-            def certificate(cm, r, warm_from=None):
-                cert = original(cm, r, warm_from)
-                outcomes.append((rebuilt[-1], cert.verdict == certify.Verdict.REFUTED))
+            def certificate(cm, r, warm_from=None, barred=frozenset()):
+                cert = original(cm, r, warm_from, barred)
+                outcomes.append((bool(barred), cert.verdict == certify.Verdict.REFUTED))
                 return cert
 
             return certificate
@@ -296,13 +289,11 @@ class TestExclusion:
             loop.append(len(outcomes))
             return enumerate_removals(pattern, size)
 
-        monkeypatch.setattr(robust, "rebuild_origins", recording)
         monkeypatch.setattr(robust, "enumerate_removals", enumerating)
         monkeypatch.setattr(certify, "find_finite_certificate", counted(find[False]))
         monkeypatch.setattr(certify, "find_unique_certificate", counted(find[True]))
         seen = set()
         for pattern, r, budget, unique in _exclusion_cases():
-            rebuilt.clear()
             outcomes.clear()
             loop.clear()
             s = budget.amount
@@ -333,18 +324,23 @@ class TestExclusion:
         # several data columns, and the last row, whose cells are removed last,
         # observed in r to r+need columns, so some blocks refute
         find = {False: certify.find_finite_certificate, True: certify.find_unique_certificate}
-        widths = []  # data columns per whole-column rebuild, before the removal loop
+        widths = []  # data columns barred per exclusion, before the removal loop
 
-        def recording(cm, pattern, cells):
-            widths.append(len({j for _, j in cells}))
-            return rebuild_origins(cm, pattern, cells)
+        def counted(original):
+            def certificate(cm, r, warm_from=None, barred=frozenset()):
+                if barred:
+                    widths.append(len(barred))
+                return original(cm, r, warm_from, barred)
+
+            return certificate
 
         def enumerating(pattern, size):
             widths.append(None)
             return enumerate_removals(pattern, size)
 
-        monkeypatch.setattr(robust, "rebuild_origins", recording)
         monkeypatch.setattr(robust, "enumerate_removals", enumerating)
+        monkeypatch.setattr(certify, "find_finite_certificate", counted(find[False]))
+        monkeypatch.setattr(certify, "find_unique_certificate", counted(find[True]))
         rng = random.Random(3)
         refuted, cases = 0, 0
         while cases < 24:
@@ -380,15 +376,18 @@ class TestResearchScale:
     @pytest.mark.parametrize("N, unique, s", [(93, False, 1), (130, True, 0)], ids=["finite", "unique"])
     def test_positive_verdict_makes_no_direct_search(self, monkeypatch, N, unique, s):
         # 1,116 and 1,560 removals, all cleared by block exclusions: every
-        # rebuilt matrix drops whole data columns, none a removal's cells
-        direct = []  # per rebuilt matrix, whether it keeps some of a data column's cells
+        # search bars whole data columns, none is made on a removal's matrix
+        direct = []  # per search, whether it bars no data column
 
-        def recording(cm, pattern, cells):
-            touched = {j for _, j in cells}
-            direct.append(len(cells) != sum(len(pattern.columns[j]) for j in touched))
-            return rebuild_origins(cm, pattern, cells)
+        def counted(original):
+            def certificate(cm, r, warm_from=None, barred=frozenset()):
+                direct.append(not barred)
+                return original(cm, r, warm_from, barred)
 
-        monkeypatch.setattr(robust, "rebuild_origins", recording)
+            return certificate
+
+        monkeypatch.setattr(certify, "find_finite_certificate", counted(certify.find_finite_certificate))
+        monkeypatch.setattr(certify, "find_unique_certificate", counted(certify.find_unique_certificate))
         pattern = sim.sample_pattern(32, N, 12, np.random.default_rng(0))
         verdict = (verify_unique if unique else verify_finite)(pattern, 3, NoiseBudget.global_noise(s))
         assert verdict.verdict == (RobustOutcome.UNIQUE if unique else RobustOutcome.FINITE)
