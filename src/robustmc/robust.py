@@ -12,14 +12,14 @@ A global verdict is decided from blocks of data columns where it can be.
 Removing cells of a data column changes only its own constraint columns, so a
 search on the unremoved pattern's matrix without every constraint column of a
 block (an exclusion) that finds a certificate serves every removal confined
-to the block, whose matrix holds that one.  It searches that one matrix with
-the block's data columns barred (`certify`'s `barred`), building none.  The
+to the block, whose matrix holds that one.  An exclusion searches that one
+matrix with the block's data columns barred (`certify`'s `barred`).  The
 data columns are split in order into groups of m = max(1, slack // (2*need))
 columns, the slack being the origins available beyond those the witnesses
 need, and the blocks are the unions of `need` groups (of all of them when
 fewer), so every removal lies in one.  They are searched in `combinations`
 order, each warm from the latest positive exclusion (`certify`'s
-`warm_from`), on the same matrix, which changes witnesses but never
+`warm_from`) on the same matrix; a warm start changes witnesses but never
 verdicts.  When all are positive, so is the verdict, with every removal
 counted checked and none enumerated.
 
