@@ -370,6 +370,83 @@ class TestExclusion:
         assert refuted > 0
 
 
+def _oversampled_cases():
+    """(pattern, r) with N > 2W, W = r*(d-r) the finite witness size, and at
+    least r observed rows per column; in two cases of three the last row is
+    unobserved in the leading `lead` >= 2W columns and observed in `hits` of
+    the others, so the leading columns alone refute."""
+    rng = random.Random(28)
+    for case in range(90):
+        d = rng.randint(3, 8)
+        r = rng.randint(1, min(3, d - 1))
+        W = r * (d - r)
+        N = rng.randint(2 * W + 1, 3 * W + 4)
+        if case % 3 == 0:
+            columns = [rng.sample(range(d), rng.randint(r, d)) for _ in range(N)]
+        else:
+            lead = rng.randint(2 * W, N - 1)
+            hits = set(rng.sample(range(lead, N), rng.randint(0, N - lead)))
+            columns = [
+                rng.sample(range(d - 1), rng.randint(r, d - 1)) + [d - 1] * (j in hits) for j in range(N)
+            ]
+        yield SamplingPattern(d, tuple(tuple(sorted(rows)) for rows in columns)), r
+
+
+class TestLeadingColumns:
+    """Noise-free finite verdicts, searched first on the leading data columns."""
+
+    def test_matches_a_cold_search_on_the_whole_matrix(self, monkeypatch):
+        # a search on a matrix shorter than the whole pattern's is the leading
+        # columns' one; a positive one, and a refuted one followed by either
+        # verdict of the whole matrix, must each occur
+        find = certify.find_finite_certificate
+        searches = []  # per search: (constraint columns, refuted?)
+
+        def counted(cm, r, warm_from=None, barred=frozenset()):
+            cert = find(cm, r, warm_from, barred)
+            searches.append((len(cm), cert.verdict == certify.Verdict.REFUTED))
+            return cert
+
+        monkeypatch.setattr(certify, "find_finite_certificate", counted)
+        seen = set()
+        budget = NoiseBudget.global_noise(0)
+        for pattern, r in _oversampled_cases():
+            searches.clear()
+            verdict = verify_finite(pattern, r, budget)
+            assert verdict.to_dict() == _resolve_every_removal(pattern, r, budget, False, find)
+            whole = len(build_constraint_matrix(pattern, r))
+            seen.add((tuple(refuted for size, refuted in searches if size < whole), verdict.verdict))
+        assert {
+            ((False,), RobustOutcome.FINITE),
+            ((True,), RobustOutcome.FINITE),
+            ((True,), RobustOutcome.REFUTED),
+        } <= seen
+
+    def test_enumeration_cap_is_checked_first(self):
+        # the leading columns certify this pattern (next test), but a cap of 0
+        # admits not even the one empty removal
+        pattern = sim.sample_pattern(20, 600, 12, np.random.default_rng(0))
+        verdict = verify_finite(pattern, 2, NoiseBudget.global_noise(0), enumeration_cap=0)
+        assert verdict.verdict == RobustOutcome.INDETERMINATE
+        assert verdict.checked == 0
+
+    def test_builds_only_the_leading_columns(self, monkeypatch):
+        # W = 2*18 = 36: 2W = 72 of the 600 data columns, 10 constraint columns each
+        built = []
+
+        def building(pattern, r):
+            cm = build_constraint_matrix(pattern, r)
+            built.append(len(cm))
+            return cm
+
+        monkeypatch.setattr(robust, "build_constraint_matrix", building)
+        pattern = sim.sample_pattern(20, 600, 12, np.random.default_rng(0))
+        verdict = verify_finite(pattern, 2, NoiseBudget.global_noise(0))
+        assert verdict == RobustVerdict(RobustOutcome.FINITE, checked=1)
+        assert len(build_constraint_matrix(pattern, 2)) == 6000
+        assert len(built) == 1 and built[0] <= 720
+
+
 class TestResearchScale:
     """Verdicts at d=32 (r=3, l=12), decided warm over chains of block exclusions."""
 
