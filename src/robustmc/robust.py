@@ -41,7 +41,9 @@ ordered by origin, so the leading columns' matrix is a prefix of the whole
 pattern's, with the same indices, origins and rows, and a certificate found
 on it serves the whole pattern: it is the exclusion of the trailing columns.
 A refuted prefix proves nothing, so only the whole matrix, built after it,
-may refute.
+may refute.  The prefix is searched only when it lies in the first third of
+the data columns, so that it saves most of the build, and observes every
+row, as every witness does.
 
 The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
@@ -58,7 +60,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -174,12 +176,20 @@ def _verify(
             # search first the fewest leading data columns of which 2W have
             # constraint columns (W the witness size): over 8 shapes x 40 seeds
             # (d 16-50, N 300-1000, r 2-3, l 3-20) a cold witness needed at
-            # most 1.94W leading data columns, with a median of 1.0-1.3W
-            wide = [j for j, rows in enumerate(pattern.columns) if len(rows) > r]
-            if len(wide) > 2 * witnesses > 0:
-                head = SamplingPattern(pattern.d, pattern.columns[: wide[2 * witnesses - 1] + 1])
-                if certificate(build_constraint_matrix(head, r), r).verdict != certify.Verdict.REFUTED:
-                    return RobustVerdict(positive, checked=total)
+            # most 1.94W leading data columns, with a median of 1.0-1.3W.  At
+            # r=1 (d=32, 200 seeds) 47% of such prefixes refuted at l=2 and 9%
+            # at l=3, all but 3 for a row they miss, and a positive one saved
+            # less build than its search cost unless N >= 6W: so the prefix
+            # must observe every row, as a witness does, and lie in the first
+            # third of the pattern
+            wide = (j for j, rows in enumerate(pattern.columns[: pattern.N // 3]) if len(rows) > r)
+            first = list(islice(wide, 2 * witnesses))
+            if len(first) == 2 * witnesses > 0:
+                lead = pattern.columns[: first[-1] + 1]
+                if len(set().union(*lead)) == pattern.d:
+                    head = build_constraint_matrix(SamplingPattern(pattern.d, lead), r)
+                    if certificate(head, r).verdict != certify.Verdict.REFUTED:
+                        return RobustVerdict(positive, checked=total)
 
     base = build_constraint_matrix(pattern, r)
     last = None  # the latest positive exclusion, which starts the next search

@@ -371,25 +371,31 @@ class TestExclusion:
 
 
 def _oversampled_cases():
-    """(pattern, r) with N > 2W, W = r*(d-r) the finite witness size, and at
-    least r observed rows per column; in two cases of three the last row is
-    unobserved in the leading `lead` >= 2W columns and observed in `hits` of
-    the others, so the leading columns alone refute."""
+    """(pattern, r) with at least r observed rows per column and N from 6W to
+    9W, W = r*(d-r) the finite witness size.  In the first third of the data
+    columns, one case in three observes no row d-1 there, and one in three
+    observes rows below k and rows from k up only in separate columns, so a
+    witness there would need r*(d-2r) >= r*(d-r) columns; the other columns
+    observe row d-1, or mix the two blocks, only in `hits` of them: none, one
+    or a random number."""
     rng = random.Random(28)
     for case in range(90):
-        d = rng.randint(3, 8)
-        r = rng.randint(1, min(3, d - 1))
+        d = rng.randint(4, 8)
+        r = rng.randint(1, min(3, d // 2 - 1))
         W = r * (d - r)
-        N = rng.randint(2 * W + 1, 3 * W + 4)
-        if case % 3 == 0:
-            columns = [rng.sample(range(d), rng.randint(r, d)) for _ in range(N)]
-        else:
-            lead = rng.randint(2 * W, N - 1)
-            hits = set(rng.sample(range(lead, N), rng.randint(0, N - lead)))
-            columns = [
-                rng.sample(range(d - 1), rng.randint(r, d - 1)) + [d - 1] * (j in hits) for j in range(N)
-            ]
-        yield SamplingPattern(d, tuple(tuple(sorted(rows)) for rows in columns)), r
+        N = rng.randint(6 * W, 9 * W)
+        k = rng.randint(r + 1, d - r - 1)
+        hits = set(rng.sample(range(N // 3, N), rng.choice((0, 1, rng.randint(0, N - N // 3)))))
+
+        def column(j):
+            if case % 3 == 0 or j in hits:
+                return rng.sample(range(d), rng.randint(r, d))
+            if case % 3 == 1:
+                return rng.sample(range(d - 1), rng.randint(r, d - 1))
+            block = rng.choice((range(k), range(k, d)))
+            return rng.sample(block, rng.randint(r + 1, len(block)))
+
+        yield SamplingPattern(d, tuple(tuple(sorted(column(j))) for j in range(N))), r
 
 
 class TestLeadingColumns:
@@ -397,8 +403,8 @@ class TestLeadingColumns:
 
     def test_matches_a_cold_search_on_the_whole_matrix(self, monkeypatch):
         # a search on a matrix shorter than the whole pattern's is the leading
-        # columns' one; a positive one, and a refuted one followed by either
-        # verdict of the whole matrix, must each occur
+        # columns' one; a positive one, a refuted one followed by either
+        # verdict of the whole matrix, and none, must each occur
         find = certify.find_finite_certificate
         searches = []  # per search: (constraint columns, refuted?)
 
@@ -420,7 +426,29 @@ class TestLeadingColumns:
             ((False,), RobustOutcome.FINITE),
             ((True,), RobustOutcome.FINITE),
             ((True,), RobustOutcome.REFUTED),
+            ((), RobustOutcome.FINITE),
+            ((), RobustOutcome.REFUTED),
         } <= seen
+
+    def test_skips_leading_columns_that_cannot_pay(self, monkeypatch):
+        # at r=1 (W = 31) the first 2W = 62 of 93 data columns are more than a
+        # third of the pattern; with 600 columns they are not, but erasing row
+        # 19 from them leaves leading columns that observe no row 19
+        built = []
+
+        def building(pattern, r):
+            built.append(pattern.N)
+            return build_constraint_matrix(pattern, r)
+
+        monkeypatch.setattr(robust, "build_constraint_matrix", building)
+        budget = NoiseBudget.global_noise(0)
+        pattern = sim.sample_pattern(32, 93, 12, np.random.default_rng(0))
+        assert verify_finite(pattern, 1, budget) == RobustVerdict(RobustOutcome.FINITE, checked=1)
+        pattern = sim.sample_pattern(20, 600, 12, np.random.default_rng(0))
+        columns = [tuple(i for i in rows if i != 19 or j >= 72) for j, rows in enumerate(pattern.columns)]
+        verdict = verify_finite(SamplingPattern(20, tuple(columns)), 2, budget)
+        assert verdict == RobustVerdict(RobustOutcome.FINITE, checked=1)
+        assert built == [93, 600]
 
     def test_enumeration_cap_is_checked_first(self):
         # the leading columns certify this pattern (next test), but a cap of 0
