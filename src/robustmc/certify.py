@@ -49,6 +49,16 @@ independent set, from which augmenting-path intersection is exact
 (Cunningham, 1986); warm and cold searches give the same verdict, though
 not always the same witness.
 
+The greedy seed that fills each copy before any augmenting path skips
+columns it can reject unsearched.  A failed search reaches a tight row set
+R: the members it spans number exactly k*|R| - k*r.  Members only join
+during the seed, so R stays tight, and two kept sets sharing at least r
+rows are merged, their union being tight too.  A later column whose rows
+lie in a kept set is dependent.  The seed still takes exactly the
+independent columns, in canonical order, so verdicts and witnesses are
+unchanged; only the tail rows may differ, and any of them is a valid pebble
+state.  Augmenting paths remove members, so they search every column.
+
 Every found witness is re-checked by `validate_witness`, which shares no
 code with the game: `min_slack`'s exact project-selection min-cut
 (selecting a column earns 1, every covered row costs k, and S's last
@@ -405,16 +415,31 @@ def _max_rainbow_witnesses(
             games[p].pin(c, row)
             origin_member[cm.origins[c]] = p * n + c
 
-    # greedy seed: each copy in canonical order until it holds its size
+    # greedy seed: each copy in canonical order until it holds its size.  A
+    # rejected column's reached rows are tight, and stay tight while members
+    # are only added, so a later column inside them is rejected unsearched
     for p, game in enumerate(games):
+        tight: list[set[int]] = []
         for c in range(n):
             if len(members[p]) == caps[p]:
                 break
             if cm.origins[c] in origin_member:
                 continue
-            if game.probe(c) is None:
+            rows = cm.columns[c]
+            if any(t.issuperset(rows) for t in tight):
+                continue
+            reached = game._gather(rows)
+            if reached is None:
                 game.add(c)
                 origin_member[cm.origins[c]] = p * n + c
+                continue
+            # tight X, Y sharing r or more rows have a tight union: the members
+            # spanned by X or Y number at least m(X) + m(Y) - m(X & Y), which is
+            # k|X| - kr + k|Y| - kr - (k|X & Y| - kr) = k|X | Y| - kr
+            while joined := [t for t in tight if len(t & reached) >= cm.r]:
+                tight = [t for t in tight if len(t & reached) < cm.r]
+                reached.update(*joined)
+            tight.append(reached)
 
     while sum(map(len, members)) < total:
         allowed = [c for c in range(n) if cm.origins[c] not in barred] if barred else range(n)

@@ -187,7 +187,7 @@ def _verify(
             if len(first) == 2 * witnesses > 0:
                 lead = pattern.columns[: first[-1] + 1]
                 if len(set().union(*lead)) == pattern.d:
-                    head = build_constraint_matrix(SamplingPattern(pattern.d, lead), r)
+                    head = build_constraint_matrix(SamplingPattern._trusted(pattern.d, lead), r)
                     if certificate(head, r).verdict != certify.Verdict.REFUTED:
                         return RobustVerdict(positive, checked=total)
 

@@ -10,6 +10,11 @@ schedule.  A trial's pattern is the one N successive calls
 `rng.choice(d, size=l, replace=False)` would draw, replayed for all columns
 at once from raw 32-bit words (exact wherever choice uses Floyd's algorithm:
 d <= 10,000 or l <= d // 50), so it depends only on the bit generator's words.
+Floyd's steps run step-major, one row of an l-by-N array per step for all
+columns, in O(N*l) memory, and the sorted columns, valid by construction,
+skip the public constructor's per-column check.  A finite global:0 level
+with l = r < d is known without sampling: no column has a constraint column
+while a witness needs r*(d-r) > 0 of them, so every trial is refuted.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
     range instead; the pattern stays uniform, but its stream differs.  All
     columns are drawn at once: one bulk draw of raw 32-bit words replays
     choice's Lemire multiply-shift draws, rejections included, and Floyd's
-    rule then runs over the columns together.
+    rule then runs over the columns together, one step at a time.
     """
     if not 0 <= l <= d <= 2**32:
         raise ValueError("need 0 <= l <= d <= 2**32")  # beyond 2**32 numpy draws 64-bit words
@@ -99,18 +104,25 @@ def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
         word = np.concatenate([word[:at], word[at + 1 :], extra])  # stays uint64
         scaled[at:] = word[at:] * bound[at:]
         rejected = at + np.flatnonzero((scaled[at:] & 0xFFFFFFFF) < threshold[at:])
-    picks = np.zeros((N, l), dtype=np.uint64)  # step j = 0, if taken, picks row 0
-    picks[:, l - floyd.size :] = (scaled >> 32).reshape(N, column.size)[:, : floyd.size]
+    # step-major: Floyd's step k of every column is one contiguous row of picks
+    picks = np.zeros((l, N), dtype=np.uint64)  # step j = 0, if taken, picks row 0
+    picks[l - floyd.size :] = (scaled >> 32).reshape(N, column.size)[:, : floyd.size].T
     for k in range(1, l):
         # Floyd: a pick repeating an earlier one of its column becomes j itself
-        picks[(picks[:, :k] == picks[:, k, None]).any(axis=1), k] = d - l + k
-    picks.sort(axis=1)
-    return SamplingPattern(d, tuple(map(tuple, picks.tolist())))
+        picks[k][(picks[:k] == picks[k]).any(axis=0)] = d - l + k
+    picks.sort(axis=0)
+    return SamplingPattern._trusted(d, tuple(map(tuple, picks.T.tolist())))
 
 
 def estimate_pass_probability(cfg: TrialConfig) -> TrialOutcome:
     """Fraction of sampled patterns passing the robust verifier, with Wilson 95% CI."""
-    verifier = robust.verify_unique if cfg.target == "unique" else robust.verify_finite
+    unique = cfg.target == "unique"
+    if cfg.l == cfg.r < cfg.d and robust.premise_floor(cfg.r, cfg.budget, unique) == cfg.l:
+        # the premise allows l = r only for finite global:0; then no column
+        # has a constraint column while a witness needs r*(d-r) > 0 of them,
+        # so every trial is Refuted with the premise met, known unsampled
+        return TrialOutcome(0, cfg.trials, 0.0, *wilson_interval(0, cfg.trials))
+    verifier = robust.verify_unique if unique else robust.verify_finite
     passes = 0
     premise_failures = 0
     indeterminate = 0

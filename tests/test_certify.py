@@ -881,6 +881,96 @@ class TestPebbleGameOracle:
                     assert circuit == exchangeable
 
 
+class TestTightSetSkip:
+    """The greedy seed skips, unsearched, only columns dependent on its members."""
+
+    @staticmethod
+    def _patterns():
+        """Two triangles at r=1, then two 4-row blocks of all four triples at
+        r=2, each closed by a repeated column and sharing r-1 rows with the
+        other; then seeded patterns with d <= 10, r <= 3 and r+1 to r+3 rows
+        per data column."""
+        yield 6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3]], 1
+        blocks = [list(rows) for base in (0, 3) for rows in combinations(range(base, base + 4), 3)]
+        yield 7, blocks[:4] + [[0, 1, 2]] + blocks[4:] + [[4, 5, 6], [0, 4, 5]], 2
+        for seed in range(150):
+            rng = random.Random(seed)
+            d = rng.randint(4, 10)
+            r = rng.randint(1, min(3, d - 2))
+            N = rng.randint(d, 3 * d)
+            yield d, [sorted(rng.sample(range(d), rng.randint(r + 1, min(d, r + 3)))) for _ in range(N)], r
+
+    def test_skipped_columns_are_dependent(self, monkeypatch):
+        # a finite and a unique copy, each sized to what a greedy pass by
+        # min_slack takes, so that the seed fills them and no path search
+        # follows; a column the seed reaches that was never searched against
+        # the members it met must be dependent on them.  The cases that open
+        # the list fail if sets sharing fewer than r rows are merged
+        games: list[_PebbleGame] = []
+        searches: set[tuple[int, tuple[int, ...], frozenset[int]]] = set()
+        init, gather = _PebbleGame.__init__, _PebbleGame._gather
+
+        def created(game, cm, cond):
+            games.append(game)
+            init(game, cm, cond)
+
+        def recorded(game, rows):
+            searches.add((id(game), rows, frozenset(game.tail)))
+            return gather(game, rows)
+
+        def augmenting(game, column):
+            raise AssertionError("the seed left a copy short, so a path search began")
+
+        monkeypatch.setattr(_PebbleGame, "__init__", created)
+        monkeypatch.setattr(_PebbleGame, "_gather", recorded)
+        monkeypatch.setattr(_PebbleGame, "probe", augmenting)
+        skipped = 0
+        for case, (d, columns, r) in enumerate(self._patterns()):
+            cm = build_constraint_matrix(SamplingPattern(d, columns), r)
+            conds = (CountCondition.finite(r), CountCondition.unique(r))
+            # the reference seed: each copy in turn takes the columns
+            # independent of its members, one per origin across the copies,
+            # and stops at the last one it takes
+            used: set[int] = set()
+            reached, taken = [], []
+            for cond in conds:
+                members: list[int] = []
+                met = []
+                for c in range(len(cm)):
+                    if cm.origins[c] not in used:
+                        met.append((c, list(members)))
+                        if min_slack(cm, members + [c], cond) >= 0:
+                            members.append(c)
+                            used.add(cm.origins[c])
+                reached.append([(c, m) for c, m in met if len(m) < len(members)])
+                taken.append(members)
+            games.clear()
+            searches.clear()
+            found = certify._max_rainbow_witnesses(cm, [(cond, len(m)) for cond, m in zip(conds, taken)])
+            for met, cond, members, tails, game in zip(reached, conds, taken, found, games):
+                assert sorted(tails) == members, case
+                for c, before in met:
+                    if (id(game), cm.columns[c], frozenset(before)) not in searches:
+                        skipped += 1
+                        assert min_slack(cm, before + [c], cond) < 0, (case, c)
+        assert skipped > 0
+
+    def test_fewer_searches_on_the_simulate_shape(self, monkeypatch):
+        # one cold finite search on a pattern of the simulate benchmark; the
+        # seed that searched every column it reached made 241 searches
+        calls = [0]
+        gather = _PebbleGame._gather
+
+        def counted(game, rows):
+            calls[0] += 1
+            return gather(game, rows)
+
+        monkeypatch.setattr(_PebbleGame, "_gather", counted)
+        cm = build_constraint_matrix(sample_pattern(20, 600, 12, np.random.default_rng(0)), 2)
+        assert find_finite_certificate(cm, 2).verdict == Verdict.FINITE
+        assert calls[0] < 241
+
+
 class TestExhaustiveOracle:
     def test_rows_beyond_64(self):
         rng = random.Random(64)

@@ -309,6 +309,20 @@ class TestSimulate:
             + "# threshold=4 theory_capped=12\n",
         )
 
+    @pytest.mark.parametrize(
+        "d, N, trials, rows",
+        [
+            (20, 600, 200, ["2,0,200,0.000000,0.000000,0.018845,76", "3,200,200,1.000000,0.981155,1.000000,76"]),
+            (8, 40, 30, ["2,0,30,0.000000,0.000000,0.113513,65", "3,30,30,1.000000,0.886487,1.000000,65"]),
+        ],
+    )
+    def test_scan_from_the_rank_level_pinned(self, d, N, trials, rows):
+        # the l = r row is known without sampling, and stays what sampling gave
+        argv = ["simulate", "--scan", "--d", str(d), "--N", str(N), "--r", "2", "--trials", str(trials)]
+        header = "l,pass,trials,estimate,ci_lo,ci_hi,theory_lmin"
+        footer = f"# threshold=3 theory_capped={d}"
+        assert invoke(argv) == (0, "\n".join([header, *rows, footer]) + "\n")
+
     def test_rows_beyond_32_bits_rejected(self):
         code, _ = invoke(
             ["simulate", "--d", str(2**32 + 1), "--N", "2", "--r", "1", "--l", "2",

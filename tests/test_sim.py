@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from robustmc.bounds import BoundQuery, sample_bound
-from robustmc.pattern import NoiseBudget
+from robustmc.pattern import NoiseBudget, SamplingPattern
+from robustmc import robust, sim
 from robustmc.sim import (
     DEFAULT_TRIAL_ENUMERATION_CAP,
     TrialConfig,
+    TrialOutcome,
     empirical_threshold,
     estimate_pass_probability,
     outcomes_to_csv,
@@ -45,6 +47,27 @@ class TestEstimate:
         outcome = estimate_pass_probability(cfg)
         assert outcome.point_estimate == 0.0
         assert outcome.premise_failures == 10
+
+    def test_rank_level_refuted_unsampled(self, monkeypatch):
+        # l = r observes no constraint column: every trial the verifier would
+        # run is Refuted with the premise met, so none is sampled
+        budget = NoiseBudget.global_noise(0)
+        for seed in range(3):
+            pattern = sample_pattern(8, 40, 2, np.random.default_rng([seed, 0]))
+            verdict = robust.verify_finite(pattern, 2, budget)
+            assert verdict.verdict == robust.RobustOutcome.REFUTED and not verdict.premise_violation
+
+        def unsampled(*args):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(sim, "sample_pattern", unsampled)
+        cfg = TrialConfig(20, 600, 2, 2, budget, trials=1000, seed=0)
+        assert estimate_pass_probability(cfg) == TrialOutcome(0, 1000, 0.0, *wilson_interval(0, 1000))
+
+    def test_full_rank_level_still_sampled(self):
+        # l = r = d observes every cell, and a witness of r*(d-r) = 0 columns passes
+        cfg = TrialConfig(3, 8, 3, 3, NoiseBudget.global_noise(0), trials=5, seed=0)
+        assert estimate_pass_probability(cfg).pass_count == 5
 
     def test_deterministic_per_seed(self):
         cfg = TrialConfig(8, 10, 2, 4, NoiseBudget.global_noise(0), trials=25, seed=42)
@@ -113,6 +136,16 @@ class TestSampler:
             assert set(sample_pattern(d, N, l, fast).cells()) == _choice_per_column(d, N, l, slow)
             assert fast.bit_generator.state == slow.bit_generator.state
 
+    @pytest.mark.parametrize("d, N, l", CHOICE_SHAPES)
+    def test_equals_the_checked_pattern(self, d, N, l):
+        # the sampler builds its pattern without the public constructor's
+        # per-column check; the same columns passed through it give an equal
+        # pattern with an equal hash
+        pattern = sample_pattern(d, N, l, np.random.default_rng(0))
+        checked = SamplingPattern(d, pattern.columns)
+        assert pattern == checked and hash(pattern) == hash(checked)
+        assert type(pattern.columns) is tuple and all(type(rows) is tuple for rows in pattern.columns)
+
     def test_rejected_words_are_redrawn(self):
         # one word per bound would leave the generator where this plain draw
         # does; at d = 3 * 2**30 some words are rejected and redrawn
@@ -131,6 +164,11 @@ class TestSampler:
     def test_out_of_range_rejected(self, d, l):
         with pytest.raises(ValueError):
             sample_pattern(d, 3, l, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d, N, l", [(5, 0, 2), (0, 3, 0)])
+    def test_empty_grid_rejected(self, d, N, l):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            sample_pattern(d, N, l, np.random.default_rng(0))
 
 
 class TestThreshold:
