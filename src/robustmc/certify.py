@@ -36,18 +36,17 @@ search also yields the column's fundamental circuit.  A row's free pebbles
 are read from the members it covers, as the validator's row loads are from
 the columns routed into it: no count is kept beside them.  A search can bar
 data columns (`barred`), deciding the matrix without their constraint
-columns, which is never built.  It can start warm from another certificate's
-witnesses (`warm_from`), which carries its matrix (`cm`) and each witness
-column's tail row: the witness columns outside the barred data columns, as
-they stand on the same matrix or found by origin and rows on another, enter
-the games pinned on those rows.  That is a valid pebble state: the pebble
-game's proofs use only that the members are (k, k*r)-sparse and each is
-covered from one of its own rows, at most k per row, which a witness's
-pebble state satisfies and which dropping members keeps (Streinu & Theran,
-2009).  The pinned columns are also origin-distinct, so they are a common
-independent set, from which augmenting-path intersection is exact
-(Cunningham, 1986); warm and cold searches give the same verdict, though
-not always the same witness.
+columns, which is never built.  It can start warm from another certificate
+found on the same matrix (`warm_from`), which carries that matrix (`cm`)
+and each witness column's tail row: the witness columns outside the barred
+data columns enter the games pinned on those rows.  That is a valid pebble
+state: the pebble game's proofs use only that the members are
+(k, k*r)-sparse and each is covered from one of its own rows, at most k per
+row, which a witness's pebble state satisfies and which dropping members
+keeps (Streinu & Theran, 2009).  The pinned columns are also
+origin-distinct, so they are a common independent set, from which
+augmenting-path intersection is exact (Cunningham, 1986); warm and cold
+searches give the same verdict, though not always the same witness.
 
 The greedy seed that fills each copy before any augmenting path skips
 columns it can reject unsearched.  A failed search reaches a tight row set
@@ -57,7 +56,9 @@ rows are merged, their union being tight too.  A later column whose rows
 lie in a kept set is dependent.  The seed still takes exactly the
 independent columns, in canonical order, so verdicts and witnesses are
 unchanged; only the tail rows may differ, and any of them is a valid pebble
-state.  Augmenting paths remove members, so they search every column.
+state.  Augmenting paths remove members, so they search every column.  A
+column the seed accepts is covered from one of its rows with a free pebble,
+as `_PebbleGame.add` would after gathering them again.
 
 Every found witness is re-checked by `validate_witness`, which shares no
 code with the game: `min_slack`'s exact project-selection min-cut
@@ -74,7 +75,6 @@ every subset of up to 22 columns, lives in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -429,8 +429,8 @@ def _max_rainbow_witnesses(
             if any(t.issuperset(rows) for t in tight):
                 continue
             reached = game._gather(rows)
-            if reached is None:
-                game.add(c)
+            if reached is None:  # the pebbles are gathered: cover c as `add` would after its search
+                game.pin(c, next(v for v in rows if len(game.covers[v]) < game.k))
                 origin_member[cm.origins[c]] = p * n + c
                 continue
             # tight X, Y sharing r or more rows have a tight union: the members
@@ -509,9 +509,8 @@ def _max_rainbow_witnesses(
 def _pinned(
     cm: ConstraintMatrix, warm_from: Certificate, positive: Verdict, barred: frozenset[int]
 ) -> list[list[tuple[int, int]]]:
-    """Per witness of `warm_from`, its columns of an origin outside `barred`
-    that are constraint columns of `cm`, found by origin and rows in
-    `warm_from.cm` unless that is `cm`, each with the tail row it had.
+    """Per witness of `warm_from`, a certificate found on `cm` itself, its
+    columns of an origin outside `barred`, each with the tail row it had.
 
     Dropping members is a legal pebble-game move, so these columns keep
     distinct origins, stay (k, k*r)-sparse and stay covered from rows of
@@ -521,27 +520,13 @@ def _pinned(
         raise ValueError(
             f"warm_from is a {warm_from.verdict.value} certificate, not a {positive.value} one"
         )
-    if warm_from.r != cm.r:
-        raise ValueError(f"warm_from has rank {warm_from.r}, not {cm.r}")
-    old = warm_from.cm
-    if old is None or warm_from._tails is None or old.d != cm.d:
-        raise ValueError(f"warm_from was not found on a constraint matrix of {cm.d} rows")
-    pinned = []
-    for witness, tails in zip((warm_from.finite_witness, warm_from.unique_witness), warm_from._tails):
-        if old is cm:
-            pinned.append([(c, tail) for c, tail in zip(witness, tails) if cm.origins[c] not in barred])
-            continue
-        start = []
-        for column, tail in zip(witness, tails):
-            origin, rows = old.origins[column], old.columns[column]
-            if origin in barred:
-                continue
-            for c in range(bisect_left(cm.origins, origin), bisect_right(cm.origins, origin)):
-                if cm.columns[c] == rows:
-                    start.append((c, tail))
-                    break
-        pinned.append(start)
-    return pinned
+    if warm_from.cm is not cm or warm_from._tails is None:
+        raise ValueError("warm_from was not found on this constraint matrix")
+    witnesses = (warm_from.finite_witness, warm_from.unique_witness)
+    return [
+        [(c, tail) for c, tail in zip(witness, tails) if cm.origins[c] not in barred]
+        for witness, tails in zip(witnesses, warm_from._tails)
+    ]
 
 
 def witness_parts(r: int, d: int, unique: bool) -> list[tuple[CountCondition, int]]:
@@ -595,7 +580,7 @@ def _certificate(
     # warm_from's witnesses passed this validation under the same conditions
     previous = ((), ()) if warm_from is None else (warm_from.finite_witness, warm_from.unique_witness)
     for witness, (cond, _), done in zip(witnesses, parts, previous):
-        if not validate_witness(cm, witness, cond, [warm_from.cm.columns[c] for c in done]):
+        if not validate_witness(cm, witness, cond, [cm.columns[c] for c in done]):
             raise RuntimeError("internal error: witness failed independent validation")
     tail_rows = tuple(tuple(tails[c] for c in witness) for witness, tails in zip(witnesses, found))
     return Certificate(positive, r, *witnesses, cm=cm, _tails=tail_rows)
@@ -607,11 +592,10 @@ def find_finite_certificate(
     """Finite or Refuted: one origin-distinct witness of r*(d-r) columns at k=r.
 
     `barred`, a set of data columns, keeps their constraint columns out of the
-    search, as if `cm` had none.  `warm_from`, a Finite certificate of the same
-    rank and d, starts the search from its witness columns outside `barred`:
-    as they stand if it was found on `cm`, else those `cm` has by origin and
-    rows.  The verdict is that of a cold search, and another kind, rank or d
-    raises ValueError.
+    search, as if `cm` had none.  `warm_from`, a Finite certificate found on
+    `cm` itself, starts the search from its witness columns outside `barred`.
+    The verdict is that of a cold search.  Another kind, or a certificate
+    found on any other matrix, even an equal one, raises ValueError.
 
     Precondition: every data column has at least r observed cells.  A column
     with fewer has infinitely many completions but adds no constraint

@@ -11,7 +11,6 @@ certificate machinery operates on these columns.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from operator import lt
@@ -146,42 +145,11 @@ def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatri
         raise ValueError("rank must be positive")
     columns, origins = [], []
     for j, rows in enumerate(pattern.columns):
-        fresh = _constraint_columns(rows, r)
+        base = rows[:r]
+        fresh = [base + (extra,) for extra in rows[r:]]
         columns += fresh
         origins += [j] * len(fresh)
     return ConstraintMatrix(pattern.d, r, tuple(columns), tuple(origins))
-
-
-def _constraint_columns(rows: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
-    """Constraint columns of a data column observed at the ascending `rows`, each sorted."""
-    base = rows[:r]
-    return [base + (extra,) for extra in rows[r:]]
-
-
-def rebuild_origins(
-    cm: ConstraintMatrix, pattern: SamplingPattern, cells: frozenset[Cell]
-) -> ConstraintMatrix:
-    """`build_constraint_matrix(remove_entries(pattern, RemovalSet(cells)), cm.r)`,
-    spliced into `cm`, the matrix of `pattern`; every cell must be observed.
-
-    An empty removal returns `cm` itself.  Only the data columns the cells
-    touch are rebuilt: their old columns are found by bisecting the ascending
-    origins and replaced from the right, so the positions found stay valid.
-    """
-    if not cells:
-        return cm
-    _check_observed(pattern, cells)
-    columns, origins = list(cm.columns), list(cm.origins)
-    for j in sorted({j for _, j in cells}, reverse=True):
-        lo, hi = bisect_left(cm.origins, j), bisect_right(cm.origins, j)
-        # from a list, not a generator: CPython keeps the block of a freed
-        # tuple that was grown by resizing on the free list for its length,
-        # and over many removals those lists fill and raise peak RSS
-        rows = tuple([i for i in pattern.columns[j] if (i, j) not in cells])
-        fresh = _constraint_columns(rows, cm.r)
-        columns[lo:hi] = fresh
-        origins[lo:hi] = [j] * len(fresh)
-    return ConstraintMatrix(cm.d, cm.r, tuple(columns), tuple(origins))
 
 
 def remove_entries(pattern: SamplingPattern, removal: RemovalSet) -> SamplingPattern:

@@ -29,10 +29,9 @@ lookup; any other is cleared once per set J of data columns it touches where
 the exclusion of J finds a certificate, and otherwise searched directly, read
 only to see whether it refutes.  A failing removal is therefore always
 solved, in order, and the verdict, the checked count, the failing removal and
-the reason are those of solving every removal.  The empty removal and the
-row-erasing one below are solved directly.  A direct search gets the
-unremoved pattern's matrix with the constraint columns of the touched data
-columns rebuilt (`rebuild_origins`).
+the reason are those of solving every removal.  A direct search runs cold
+on the removal's own matrix, built afresh, or on the unremoved pattern's
+for the empty removal, so every warm start stays on one matrix.
 
 A noise-free finite verdict (global:0) is searched first on the fewest
 leading data columns of which 2W have constraint columns, W being the
@@ -49,7 +48,7 @@ The per-column quantifier needs no enumeration.  Once the premise holds, its
 first removal in lexicographic order (the first g+1 observed cells of every
 column) empties the smallest observed row, and a pattern with an empty row is
 never finitely completable.  So per-column checks are always refuted by that
-removal, built directly and solved as the only one by the global loop.
+removal, whose matrix alone is built and searched.
 The corresponding probabilistic bounds remain useful as formulas.
 """
 
@@ -74,7 +73,6 @@ from .pattern import (
     build_constraint_matrix,
     enumerate_removals,
     read_cell_lines,
-    rebuild_origins,
     remove_entries,
 )
 
@@ -163,33 +161,41 @@ def _verify(
         return RobustVerdict(RobustOutcome.REFUTED, reason=failure, premise_violation=True)
 
     certificate = certify.find_unique_certificate if unique else certify.find_finite_certificate
-    if budget.kind == GLOBAL:
-        need = budget.amount + unique
-        total = math.comb(pattern.size(), need)
-        if total > enumeration_cap:
-            return RobustVerdict(
-                RobustOutcome.INDETERMINATE,
-                reason=f"{total} removal patterns exceed the enumeration cap of {enumeration_cap}",
-            )
-        witnesses = sum(size for _, size in certify.witness_parts(r, pattern.d, unique))
-        if not need:
-            # search first the fewest leading data columns of which 2W have
-            # constraint columns (W the witness size): over 8 shapes x 40 seeds
-            # (d 16-50, N 300-1000, r 2-3, l 3-20) a cold witness needed at
-            # most 1.94W leading data columns, with a median of 1.0-1.3W.  At
-            # r=1 (d=32, 200 seeds) 47% of such prefixes refuted at l=2 and 9%
-            # at l=3, all but 3 for a row they miss, and a positive one saved
-            # less build than its search cost unless N >= 6W: so the prefix
-            # must observe every row, as a witness does, and lie in the first
-            # third of the pattern
-            wide = (j for j, rows in enumerate(pattern.columns[: pattern.N // 3]) if len(rows) > r)
-            first = list(islice(wide, 2 * witnesses))
-            if len(first) == 2 * witnesses > 0:
-                lead = pattern.columns[: first[-1] + 1]
-                if len(set().union(*lead)) == pattern.d:
-                    head = build_constraint_matrix(SamplingPattern._trusted(pattern.d, lead), r)
-                    if certificate(head, r).verdict != certify.Verdict.REFUTED:
-                        return RobustVerdict(positive, checked=total)
+    if budget.kind != GLOBAL:
+        # the premise gives r < d; with a row empty, a finite witness W would
+        # need r*rows(W) >= |W| + r*r = r*d while rows(W) <= d-1
+        removal = _row_erasing_removal(pattern, budget.amount + 1)
+        cert = certificate(build_constraint_matrix(remove_entries(pattern, removal), r), r)
+        if cert.verdict != certify.Verdict.REFUTED:
+            raise RuntimeError("internal error: a row-erasing removal kept a certificate")
+        return RobustVerdict(RobustOutcome.REFUTED, 1, removal, cert.note)
+
+    need = budget.amount + unique
+    total = math.comb(pattern.size(), need)
+    if total > enumeration_cap:
+        return RobustVerdict(
+            RobustOutcome.INDETERMINATE,
+            reason=f"{total} removal patterns exceed the enumeration cap of {enumeration_cap}",
+        )
+    witnesses = sum(size for _, size in certify.witness_parts(r, pattern.d, unique))
+    if not need:
+        # search first the fewest leading data columns of which 2W have
+        # constraint columns (W the witness size): over 8 shapes x 40 seeds
+        # (d 16-50, N 300-1000, r 2-3, l 3-20) a cold witness needed at
+        # most 1.94W leading data columns, with a median of 1.0-1.3W.  At
+        # r=1 (d=32, 200 seeds) 47% of such prefixes refuted at l=2 and 9%
+        # at l=3, all but 3 for a row they miss, and a positive one saved
+        # less build than its search cost unless N >= 6W: so the prefix
+        # must observe every row, as a witness does, and lie in the first
+        # third of the pattern
+        wide = (j for j, rows in enumerate(pattern.columns[: pattern.N // 3]) if len(rows) > r)
+        first = list(islice(wide, 2 * witnesses))
+        if len(first) == 2 * witnesses > 0:
+            lead = pattern.columns[: first[-1] + 1]
+            if len(set().union(*lead)) == pattern.d:
+                head = build_constraint_matrix(SamplingPattern._trusted(pattern.d, lead), r)
+                if certificate(head, r).verdict != certify.Verdict.REFUTED:
+                    return RobustVerdict(positive, checked=total)
 
     base = build_constraint_matrix(pattern, r)
     last = None  # the latest positive exclusion, which starts the next search
@@ -203,26 +209,20 @@ def _verify(
         return found
 
     refuted = None  # the first refuted block, once blocks were searched
-    if budget.kind != GLOBAL:
-        # the premise gives r < d; with a row empty, a finite witness W would
-        # need r*rows(W) >= |W| + r*r = r*d while rows(W) <= d-1
-        removals = [_row_erasing_removal(pattern, budget.amount + 1)]
-    else:
-        if need:
-            m = max(1, (len(set(base.origins)) - witnesses) // (2 * need))
-            groups = tuple(range(-(-pattern.N // m)))
-            size = min(need, len(groups))
-            for block in combinations(groups, size):
-                if not excludes(j for j in range(pattern.N) if j // m in block):
-                    refuted = block
-                    break
-            else:
-                return RobustVerdict(positive, checked=total)
-        removals = enumerate_removals(pattern, need)
+    if need:
+        m = max(1, (len(set(base.origins)) - witnesses) // (2 * need))
+        groups = tuple(range(-(-pattern.N // m)))
+        size = min(need, len(groups))
+        for block in combinations(groups, size):
+            if not excludes(j for j in range(pattern.N) if j // m in block):
+                refuted = block
+                break
+        else:
+            return RobustVerdict(positive, checked=total)
 
     excluded: dict[frozenset[int], bool] = {}  # touched data columns: cleared without a direct search?
     checked = 0
-    for removal in removals:
+    for removal in enumerate_removals(pattern, need):
         checked += 1
         touched = frozenset(j for _, j in removal.cells)
         if refuted is not None and touched not in excluded:
@@ -231,11 +231,10 @@ def _verify(
             excluded[touched] = first < refuted or excludes(touched)
         if excluded.get(touched):
             continue
-        cert = certificate(rebuild_origins(base, pattern, removal.cells), r, warm_from=last)
+        cm = build_constraint_matrix(remove_entries(pattern, removal), r) if removal.cells else base
+        cert = certificate(cm, r)
         if cert.verdict == certify.Verdict.REFUTED:
             return RobustVerdict(RobustOutcome.REFUTED, checked, removal, cert.note)
-    if budget.kind != GLOBAL:
-        raise RuntimeError("internal error: a row-erasing removal kept a certificate")
     return RobustVerdict(positive, checked=checked)
 
 

@@ -23,7 +23,6 @@ from robustmc.pattern import (
     RemovalSet,
     SamplingPattern,
     build_constraint_matrix,
-    rebuild_origins,
     remove_entries,
 )
 from robustmc.robust import RobustOutcome, verify_finite
@@ -182,8 +181,8 @@ class TestValidateWitness:
             validated = _greedy_witness(rng, cm, cond)
             for _ in range(4):
                 removal = frozenset(rng.sample(pattern.cells(), rng.randint(1, 2)))
-                cm = rebuild_origins(cm, pattern, removal)
                 pattern = remove_entries(pattern, RemovalSet(removal))
+                cm = build_constraint_matrix(pattern, cm.r)
                 if not len(cm):
                     break
                 pool = list(range(len(cm)))
@@ -208,9 +207,10 @@ class TestValidateWitness:
         assert min(seen.values()) > 0, seen
 
     def test_warm_search_hands_over_the_previous_witness(self, monkeypatch):
-        # warm chains as robust verification runs them: every validation of a
-        # found witness is told the row supports of the previous certificate's
-        # witness under the same condition, and nothing when cold
+        # warm chains as robust verification runs them, one data column barred
+        # on one matrix at a time: every validation of a found witness is told
+        # the row supports of the previous certificate's witness under the
+        # same condition, and nothing when cold
         calls = []
         validate = certify.validate_witness
 
@@ -233,16 +233,15 @@ class TestValidateWitness:
             base = build_constraint_matrix(pattern, r)
             previous, supports = None, [[] for _ in conds]
             for _ in range(8):
-                cm = rebuild_origins(base, pattern, frozenset(rng.sample(cells, 1)))
                 del calls[:]
-                cert = find(cm, r, warm_from=previous)
+                cert = find(base, r, warm_from=previous, barred=frozenset(rng.sample(range(N), 1)))
                 if cert.verdict == Verdict.REFUTED:
                     assert calls == []
                     continue
                 assert calls == list(zip(conds, supports))
                 handed += previous is not None
                 witnesses = (cert.finite_witness, cert.unique_witness)
-                supports = [[cm.columns[c] for c in witness] for witness in witnesses[: len(conds)]]
+                supports = [[base.columns[c] for c in witness] for witness in witnesses[: len(conds)]]
                 previous = cert
         assert handed > 0
 
@@ -446,9 +445,9 @@ class TestWarmStart:
 
     def test_matches_cold_search(self, monkeypatch):
         # seeded patterns (d <= 8, r <= 3) with about as many data columns as
-        # the witnesses need origins, so both verdicts occur; removals of 1-2
-        # cells are solved warm from the latest positive warm certificate, as
-        # robust verification does, and cold
+        # the witnesses need origins, so both verdicts occur; the base matrix
+        # with 1-2 data columns barred is searched warm from the latest
+        # positive warm certificate, as robust verification does, and cold
         flips = [0]  # members leaving a game, which only an augmenting path does
         remove = _PebbleGame.remove
 
@@ -471,11 +470,10 @@ class TestWarmStart:
             base = build_constraint_matrix(pattern, r)
             previous = None
             for _ in range(20):
-                removal = frozenset(rng.sample(cells, rng.randint(1, min(2, len(cells)))))
-                cm = rebuild_origins(base, pattern, removal)
-                cold = find(cm, r)
+                block = frozenset(rng.sample(range(N), rng.randint(1, min(2, N))))
+                cold = find(base, r, barred=block)
                 before = flips[0]
-                warm = find(cm, r, warm_from=previous)
+                warm = find(base, r, warm_from=previous, barred=block)
                 augmented += previous is not None and flips[0] > before
                 assert warm.verdict == cold.verdict
                 verdicts.append(warm.verdict)
@@ -484,15 +482,15 @@ class TestWarmStart:
                     continue
                 conds = (CountCondition.finite(r), CountCondition.unique(r))
                 witnesses = (warm.finite_witness, warm.unique_witness)[: 1 + unique]
-                used = [cm.origins[c] for witness in witnesses for c in witness]
-                assert len(used) == len(set(used))
+                used = [base.origins[c] for witness in witnesses for c in witness]
+                assert len(used) == len(set(used)) and block.isdisjoint(used)
                 for witness, cond, size in zip(witnesses, conds, (r * (d - r), d - r)):
                     assert len(witness) == size
-                    assert min_slack_exhaustive(cm, witness, cond) >= 0
+                    assert min_slack_exhaustive(base, witness, cond) >= 0
                     assert validate_witness(warm.cm, witness, cond)
                 # the certificate carries the matrix its indices refer to,
                 # and its report holds neither the matrix nor the tail rows
-                assert warm.cm is cm
+                assert warm.cm is base
                 report = json.dumps(warm.to_dict())
                 assert "_tails" not in report and "ConstraintMatrix" not in report
                 previous = warm
@@ -500,24 +498,33 @@ class TestWarmStart:
         assert {Verdict.FINITE, Verdict.UNIQUE, Verdict.REFUTED} <= set(verdicts)
 
     def test_rejects_another_rank_kind_or_height(self):
+        # a warm start comes only from a certificate of the same kind found
+        # on the very matrix searched: one of another rank or height, or of
+        # an equal matrix built again, is rejected, for both kinds
         cm = build_constraint_matrix(SamplingPattern.full(5, 12), 2)
         finite, unique = find_finite_certificate(cm, 2), find_unique_certificate(cm, 2)
         assert find_finite_certificate(cm, 2, warm_from=finite) == finite
         assert find_unique_certificate(cm, 2, warm_from=unique) == unique
-        other_rank = build_constraint_matrix(SamplingPattern.full(5, 12), 1)
-        with pytest.raises(ValueError, match="rank"):
-            find_finite_certificate(other_rank, 1, warm_from=finite)
         with pytest.raises(ValueError, match="Unique"):
             find_finite_certificate(cm, 2, warm_from=unique)
         with pytest.raises(ValueError, match="Finite"):
             find_unique_certificate(cm, 2, warm_from=finite)
+        other_rank = build_constraint_matrix(SamplingPattern.full(5, 12), 1)
         taller = build_constraint_matrix(SamplingPattern.full(6, 12), 2)
-        with pytest.raises(ValueError, match="rows"):
-            find_finite_certificate(taller, 2, warm_from=finite)
-        # a certificate built by hand carries no matrix and no tail rows
+        again = build_constraint_matrix(SamplingPattern.full(5, 12), 2)
+        assert again == cm and again is not cm
+        for other, r in ((other_rank, 1), (taller, 2), (again, 2)):
+            with pytest.raises(ValueError, match="not found on this constraint matrix"):
+                find_finite_certificate(other, r, warm_from=finite)
+            with pytest.raises(ValueError, match="not found on this constraint matrix"):
+                find_unique_certificate(other, r, warm_from=unique)
+        # a certificate built by hand carries no matrix and no tail rows, and
+        # one given the matrix still has no tail rows
         bare = certify.Certificate(Verdict.FINITE, 2, finite.finite_witness)
-        with pytest.raises(ValueError, match="rows"):
-            find_finite_certificate(cm, 2, warm_from=bare)
+        handmade = certify.Certificate(Verdict.FINITE, 2, finite.finite_witness, cm=cm)
+        for start in (bare, handmade):
+            with pytest.raises(ValueError, match="not found on this constraint matrix"):
+                find_finite_certificate(cm, 2, warm_from=start)
 
     def test_pebble_state_stays_private(self):
         cm = build_constraint_matrix(SamplingPattern.full(4, 6), 2)
@@ -545,10 +552,10 @@ class TestBarred:
         # seeded patterns (d <= 8, r <= 3) with about as many data columns as
         # the witnesses need origins, so both verdicts occur; a random block B
         # of data columns is barred on the base matrix, and also removed cell
-        # by cell; both searches find the same witnesses, read as (origin,
-        # rows), cold and warm from the latest positive barred certificate,
-        # as robust verification chains them, and so do both on the matrix
-        # of a one-cell removal, where the warm start is found by origin and rows
+        # by cell; searched cold, both find the same witnesses, read as
+        # (origin, rows), and the barred search warm from the latest positive
+        # barred certificate, as robust verification chains them, reaches the
+        # same verdict with a witness of the base matrix outside B
         flips = [0]  # members leaving a game, which only an augmenting path does
         remove = _PebbleGame.remove
 
@@ -572,23 +579,23 @@ class TestBarred:
             previous = None
             for _ in range(10):
                 block = frozenset(rng.sample(range(N), rng.randint(1, min(3, N))))
-                every = frozenset((i, j) for j in block for i in pattern.columns[j])
-                rebuilt = rebuild_origins(base, pattern, every)
+                every = RemovalSet(frozenset((i, j) for j in block for i in pattern.columns[j]))
+                rebuilt = _read(find(build_constraint_matrix(remove_entries(pattern, every), r), r))
                 for warm_from in (None, previous):
                     before = flips[0]
                     barred = find(base, r, warm_from=warm_from, barred=block)
                     augmented += flips[0] > before
-                    assert _read(barred) == _read(find(rebuilt, r, warm_from=warm_from))
+                    read = _read(barred)
+                    assert read == rebuilt if warm_from is None else read[:2] == rebuilt[:2]
                     seen.add((warm_from is not None, barred.verdict))
-                removal = frozenset(rng.sample(cells, 1))
-                moved = find(rebuild_origins(base, pattern, removal), r, warm_from=previous, barred=block)
-                rebuilt = rebuild_origins(base, pattern, removal | every)
-                assert _read(moved) == _read(find(rebuilt, r, warm_from=previous))
                 if barred.verdict == Verdict.REFUTED:
                     continue
                 assert barred.cm is base
+                conds = (CountCondition.finite(r), CountCondition.unique(r))
                 witnesses = (barred.finite_witness, barred.unique_witness)[: 1 + unique]
                 assert not any(base.origins[c] in block for witness in witnesses for c in witness)
+                for witness, cond, size in zip(witnesses, conds, (r * (d - r), d - r)):
+                    assert len(witness) == size and min_slack(base, witness, cond) >= 0
                 previous = barred
         assert augmented > 0
         for warm in (False, True):
@@ -969,6 +976,35 @@ class TestTightSetSkip:
         cm = build_constraint_matrix(sample_pattern(20, 600, 12, np.random.default_rng(0)), 2)
         assert find_finite_certificate(cm, 2).verdict == Verdict.FINITE
         assert calls[0] < 241
+
+
+class TestSeedPins:
+    """A column the greedy seed accepts is covered where its one search left the pebbles."""
+
+    def test_a_filled_seed_adds_nothing(self, monkeypatch):
+        # cold searches whose seed fills every copy without a path search:
+        # one finite search on a pattern of the simulate benchmark and a
+        # unique one on a full pattern.  The seed that searched each column
+        # it took a second time, through `_PebbleGame.add`, made 86 searches
+        # on the first
+        calls = {"_gather": 0, "add": 0, "probe": 0}
+
+        def counted(name, original):
+            def method(game, arg):
+                calls[name] += 1
+                return original(game, arg)
+
+            return method
+
+        for name in calls:
+            monkeypatch.setattr(_PebbleGame, name, counted(name, getattr(_PebbleGame, name)))
+        cm = build_constraint_matrix(sample_pattern(20, 600, 12, np.random.default_rng(0)), 2)
+        assert find_finite_certificate(cm, 2).verdict == Verdict.FINITE
+        assert calls["probe"] == calls["add"] == 0
+        assert calls["_gather"] < 86
+        cm = build_constraint_matrix(SamplingPattern.full(5, 12), 2)
+        assert find_unique_certificate(cm, 2).verdict == Verdict.UNIQUE
+        assert calls["probe"] == calls["add"] == 0
 
 
 class TestExhaustiveOracle:

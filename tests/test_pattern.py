@@ -15,7 +15,6 @@ from robustmc.pattern import (
     build_constraint_matrix,
     enumerate_removals,
     parse_pattern,
-    rebuild_origins,
     remove_entries,
     serialize_pattern,
 )
@@ -85,20 +84,13 @@ class TestRemoval:
         assert (q.d, q.N) == (2, 2)
 
     def test_remove_unobserved_cell_rejected(self):
-        # `rebuild_origins` splices the matrix of `remove_entries`' result, so
-        # both reject the same cells
-        removers = (
-            lambda p, cells: remove_entries(p, RemovalSet(cells)),
-            lambda p, cells: rebuild_origins(build_constraint_matrix(p, 1), p, cells),
-        )
-        for remove in removers:
-            with pytest.raises(ValueError):
-                remove(pat(2, 2, [(0, 0)]), frozenset({(1, 1)}))
-            # cells outside the grid, where indexing a column would wrap
-            # around or raise IndexError
-            for cell in [(0, -1), (0, 2), (-1, 0), (2, 0)]:
-                with pytest.raises(ValueError, match="unobserved cells"):
-                    remove(SamplingPattern.full(2, 2), frozenset({cell}))
+        with pytest.raises(ValueError):
+            remove_entries(pat(2, 2, [(0, 0)]), RemovalSet(frozenset({(1, 1)})))
+        # cells outside the grid, where indexing a column would wrap around
+        # or raise IndexError
+        for cell in [(0, -1), (0, 2), (-1, 0), (2, 0)]:
+            with pytest.raises(ValueError, match="unobserved cells"):
+                remove_entries(SamplingPattern.full(2, 2), RemovalSet(frozenset({cell})))
 
     @given(st.data())
     @settings(deadline=None, max_examples=60)
@@ -123,8 +115,7 @@ def _random_pattern(rng, d, N):
 
 
 class TestRemovalDelta:
-    """`remove_entries` matches a fresh pattern, and `rebuild_origins` splices
-    a removal's constraint columns to match a rebuild from scratch."""
+    """`remove_entries` matches a fresh pattern."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_remove_entries_equals_a_fresh_pattern(self, seed):
@@ -143,41 +134,6 @@ class TestRemovalDelta:
         p = SamplingPattern.full(3, 2)
         remove_entries(p, RemovalSet(frozenset({(0, 0)})))
         assert p.columns[0] == (0, 1, 2) and len(set(p.cells())) == 6
-
-    @pytest.mark.parametrize(
-        "removal",
-        [
-            {(0, 1)},                  # a base row: every column of origin 1 changes
-            {(4, 1)},                  # an extra row: one column of origin 1 goes
-            {(1, 0), (3, 2)},          # a base row and an extra row in two columns
-            {(0, 0), (2, 1), (4, 3)},  # the first, a middle and the last column
-            {(0, 3), (1, 3), (2, 3)},  # origin 3 drops to r rows and loses all columns
-        ],
-    )
-    def test_rebuild_origins_equals_a_full_rebuild(self, removal):
-        p = SamplingPattern.full(5, 4)
-        r = 2
-        sub = remove_entries(p, RemovalSet(frozenset(removal)))
-        spliced = rebuild_origins(build_constraint_matrix(p, r), p, frozenset(removal))
-        assert spliced == build_constraint_matrix(sub, r)
-
-    def test_rebuild_origins_of_no_cells_is_the_matrix_itself(self):
-        p = SamplingPattern.full(5, 4)
-        base = build_constraint_matrix(p, 2)
-        assert rebuild_origins(base, p, frozenset()) is base
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_rebuild_origins_on_random_removals(self, seed):
-        rng = random.Random(100 + seed)
-        p = _random_pattern(rng, 7, 6)
-        cells = p.cells()
-        for r in (1, 2, 3):
-            base = build_constraint_matrix(p, r)
-            for size in (1, 2, 3):
-                removal = frozenset(rng.sample(cells, min(size, len(cells))))
-                sub = remove_entries(p, RemovalSet(removal))
-                spliced = rebuild_origins(base, p, removal)
-                assert spliced == build_constraint_matrix(sub, r)
 
 
 class TestEnumeration:

@@ -310,12 +310,16 @@ class TestExclusion:
             assert bool(loop) == (s + unique == 0 or blocks[-1][1])
             seen.update(("block", refuted) for _, refuted in blocks)
             # a refuted exclusion falls through to the direct search, which
-            # alone can refute the verdict
-            for (excluded, refuted), (then_excluded, _) in zip(searches, searches[1:]):
+            # alone can refute the verdict; it runs cold on the removal's own
+            # matrix, and must be seen both to pass and to refute
+            for (excluded, refuted), (then_excluded, then_refuted) in zip(searches, searches[1:]):
                 assert not (excluded and refuted and then_excluded)
+                if excluded and refuted:
+                    seen.add(("direct", then_refuted))
             assert not outcomes or not outcomes[-1][0] or not outcomes[-1][1]
             seen.update(("exclusion", refuted) for excluded, refuted in searches if excluded)
         assert {("block", False), ("block", True), ("exclusion", False), ("exclusion", True)} <= seen
+        assert {("direct", False), ("direct", True)} <= seen
         for s, unique in ((0, False), (1, False), (2, False), (0, True), (1, True)):
             assert {(RobustOutcome.FINITE, s, unique), (RobustOutcome.UNIQUE, s, unique)} & seen
 
