@@ -146,9 +146,9 @@ def build_constraint_matrix(pattern: SamplingPattern, r: int) -> ConstraintMatri
     columns, origins = [], []
     for j, rows in enumerate(pattern.columns):
         base = rows[:r]
-        fresh = [base + (extra,) for extra in rows[r:]]
-        columns += fresh
-        origins += [j] * len(fresh)
+        for extra in rows[r:]:
+            columns.append(base + (extra,))
+            origins.append(j)
     return ConstraintMatrix(pattern.d, r, tuple(columns), tuple(origins))
 
 

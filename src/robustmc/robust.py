@@ -19,7 +19,8 @@ columns, the slack being the origins available beyond those the witnesses
 need, and the blocks are the unions of `need` groups (of all of them when
 fewer), so every removal lies in one.  They are searched in `combinations`
 order, each warm from the latest positive exclusion (`certify`'s
-`warm_from`) on the same matrix; a warm start changes witnesses but never
+`warm_from`) on the same matrix, or positive by lookup when that one's
+witnesses avoid its data columns; a warm start changes witnesses but never
 verdicts.  When all are positive, so is the verdict, with every removal
 counted checked and none enumerated.
 
@@ -199,13 +200,17 @@ def _verify(
 
     base = build_constraint_matrix(pattern, r)
     last = None  # the latest positive exclusion, which starts the next search
+    used = frozenset()  # the data columns of its witness columns
 
-    def excludes(columns) -> bool:
-        """Whether the base matrix keeps a certificate with the data columns `columns` barred."""
-        nonlocal last
-        cert = certificate(base, r, warm_from=last, barred=frozenset(columns))
+    def excludes(barred: frozenset[int]) -> bool:
+        """Whether the base matrix keeps a certificate with the data columns `barred` barred."""
+        nonlocal last, used
+        if last is not None and used.isdisjoint(barred):
+            return True  # last's witnesses are on `base` and avoid the barred columns
+        cert = certificate(base, r, warm_from=last, barred=barred)
         if found := cert.verdict != certify.Verdict.REFUTED:
             last = cert
+            used = frozenset(base.origins[c] for c in cert.finite_witness + (cert.unique_witness or ()))
         return found
 
     refuted = None  # the first refuted block, once blocks were searched
@@ -214,7 +219,7 @@ def _verify(
         groups = tuple(range(-(-pattern.N // m)))
         size = min(need, len(groups))
         for block in combinations(groups, size):
-            if not excludes(j for j in range(pattern.N) if j // m in block):
+            if not excludes(frozenset(j for j in range(pattern.N) if j // m in block)):
                 refuted = block
                 break
         else:

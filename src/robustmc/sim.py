@@ -10,11 +10,15 @@ schedule.  A trial's pattern is the one N successive calls
 `rng.choice(d, size=l, replace=False)` would draw, replayed for all columns
 at once from raw 32-bit words (exact wherever choice uses Floyd's algorithm:
 d <= 10,000 or l <= d // 50), so it depends only on the bit generator's words.
-Floyd's steps run step-major, one row of an l-by-N array per step for all
-columns, in O(N*l) memory, and the sorted columns, valid by construction,
-skip the public constructor's per-column check.  A finite global:0 level
-with l = r < d is known without sampling: no column has a constraint column
-while a witness needs r*(d-r) > 0 of them, so every trial is refuted.
+The words are tested for rejection in 32-bit arithmetic: Lemire's test reads
+only the low 32 bits of word * bound.  Floyd's steps run step-major, one row
+of an l-by-N array per step for all columns, in O(N*l) memory, and the
+sorted columns, valid by construction, skip the public constructor's
+per-column check.  At l = d the words are still drawn, but every column
+holds every row without Floyd's steps: step j draws at most j while rows
+0..j-1 are taken, so it takes j.  A finite global:0 level with l = r < d is
+known without sampling: no column has a constraint column while a witness
+needs r*(d-r) > 0 of them, so every trial is refuted.
 """
 
 from __future__ import annotations
@@ -93,20 +97,21 @@ def sample_pattern(d: int, N: int, l: int, rng) -> SamplingPattern:
     # are sorted, so the shuffle's draws are consumed but never applied.
     floyd = np.arange(max(d - l, 1) + 1, d + 1, dtype=np.uint64)
     column = np.concatenate([floyd, np.arange(l, 1, -1, dtype=np.uint64)])
-    bound, threshold = np.tile(column, N), np.tile(2**32 % column, N)
-    word = rng.integers(0, 2**32, size=bound.size, dtype=np.uint32).astype(np.uint64)
-    scaled = word * bound
-    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < threshold)
+    # Lemire's rejection test in wrapping uint32: a bound of 2**32 becomes 0, as does its threshold
+    bound, threshold = column.astype(np.uint32), (2**32 % column).astype(np.uint32)
+    word = rng.integers(0, 2**32, size=N * column.size, dtype=np.uint32)
+    rejected = np.flatnonzero(word.reshape(N, column.size) * bound < threshold)
+    if rejected.size:  # a word is rejected with probability below bound / 2**32
+        bound, threshold = np.resize(bound, word.size), np.resize(threshold, word.size)
     while rejected.size:
-        # numpy drops a rejected word and draws the next one for the same bound
-        at = rejected[0]
-        extra = rng.integers(0, 2**32, size=1, dtype=np.uint32)
-        word = np.concatenate([word[:at], word[at + 1 :], extra])  # stays uint64
-        scaled[at:] = word[at:] * bound[at:]
-        rejected = at + np.flatnonzero((scaled[at:] & 0xFFFFFFFF) < threshold[at:])
+        at = rejected[0]  # numpy redraws a rejected word for the same bound; earlier ones stay accepted
+        word[at:-1], word[-1] = word[at + 1 :], rng.integers(0, 2**32, dtype=np.uint32)
+        rejected = at + np.flatnonzero(word[at:] * bound[at:] < threshold[at:])
+    if l == d:
+        # Floyd's step j draws at most j while rows 0..j-1 are taken: it takes j
+        return SamplingPattern._trusted(d, (tuple(range(d)),) * N)
     # step-major: Floyd's step k of every column is one contiguous row of picks
-    picks = np.zeros((l, N), dtype=np.uint64)  # step j = 0, if taken, picks row 0
-    picks[l - floyd.size :] = (scaled >> 32).reshape(N, column.size)[:, : floyd.size].T
+    picks = word.reshape(N, column.size)[:, :l].T.astype(np.uint64, order="C") * floyd[:, None] >> 32
     for k in range(1, l):
         # Floyd: a pick repeating an earlier one of its column becomes j itself
         picks[k][(picks[:k] == picks[k]).any(axis=0)] = d - l + k

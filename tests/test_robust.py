@@ -373,6 +373,27 @@ class TestExclusion:
             refuted += verdict.verdict == RobustOutcome.REFUTED
         assert refuted > 0
 
+    def test_block_the_last_witnesses_avoid_is_not_searched(self, monkeypatch):
+        # unique global:0 at r=2 on 8x32, l=5: 32 origins and witnesses of
+        # 12 + 6 columns make five blocks of 7, 7, 7, 7 and 4 data columns;
+        # the witnesses found with the fourth block barred avoid the fifth,
+        # so that block is decided without a search
+        find = certify.find_unique_certificate
+        searches = []  # (barred, certificate) per search
+
+        def certificate(cm, r, warm_from=None, barred=frozenset()):
+            cert = find(cm, r, warm_from, barred)
+            searches.append((barred, cert))
+            return cert
+
+        monkeypatch.setattr(certify, "find_unique_certificate", certificate)
+        pattern = sim.sample_pattern(8, 32, 5, np.random.default_rng(0))
+        verdict = verify_unique(pattern, 2, NoiseBudget.global_noise(0))
+        assert verdict == RobustVerdict(RobustOutcome.UNIQUE, checked=160)
+        assert [sorted(barred) for barred, _ in searches] == [list(range(k, k + 7)) for k in (0, 7, 14, 21)]
+        last = searches[-1][1]
+        assert {last.cm.origins[c] for c in last.finite_witness + last.unique_witness}.isdisjoint(range(28, 32))
+
 
 def _oversampled_cases():
     """(pattern, r) with at least r observed rows per column and N from 6W to

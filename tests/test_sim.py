@@ -120,10 +120,11 @@ def _choice_per_column(d, N, l, rng):
     )
 
 
-# the benchmark's shapes, then l = d, l = 1, l = 0, a long column, the largest
-# d with 32-bit draws, and a d where numpy rejects about a quarter of the words
+# the benchmark's shapes, then l = d (also where a column draws no Floyd
+# word, or one), l = 1, l = 0, a long column, the largest d with 32-bit
+# draws, and a d where numpy rejects about a quarter of the words
 CHOICE_SHAPES = [(20, 600, l) for l in range(4, 21)] + [
-    (8, 16, 3), (8, 32, 5), (32, 93, 12), (9, 7, 9), (9, 7, 1), (9, 7, 0),
+    (8, 16, 3), (8, 32, 5), (32, 93, 12), (9, 7, 9), (1, 5, 1), (2, 3, 2), (9, 7, 1), (9, 7, 0),
     (10000, 2, 400), (2**32, 5, 3), (3 * 2**30, 40, 2),
 ]
 
