@@ -19,16 +19,17 @@ columns, the slack being the origins available beyond those the witnesses
 need, and the blocks are the unions of `need` groups (of all of them when
 fewer), so every removal lies in one.  They are searched in `combinations`
 order, each warm from the latest positive exclusion (`certify`'s
-`warm_from`) on the same matrix, or positive by lookup when that one's
-witnesses avoid its data columns; a warm start changes witnesses but never
-verdicts.  When all are positive, so is the verdict, with every removal
-counted checked and none enumerated.
+`warm_from`) on the same matrix; a warm start changes witnesses but never
+verdicts.  A positive exclusion's witnesses are columns of that one matrix,
+so any set of data columns they avoid is positive too, by lookup, whatever
+set they were searched with.  When all blocks are positive, so is the
+verdict, with every removal counted checked and none enumerated.
 
 After a refuted block, the removals are enumerated in lexicographic order up
-to the first failure.  One inside a block searched before it is accepted by
-lookup; any other is cleared once per set J of data columns it touches where
-the exclusion of J finds a certificate, and otherwise searched directly, read
-only to see whether it refutes.  A failing removal is therefore always
+to the first failure.  Each is cleared once per set J of data columns it
+touches where the exclusion of J is positive (by lookup when J lies in a
+positive block, whose witnesses avoid it), and otherwise searched directly,
+read only to see whether it refutes.  A failing removal is therefore always
 solved, in order, and the verdict, the checked count, the failing removal and
 the reason are those of solving every removal.  A direct search runs cold
 on the removal's own matrix, built afresh, or on the unremoved pattern's
@@ -200,29 +201,30 @@ def _verify(
 
     base = build_constraint_matrix(pattern, r)
     last = None  # the latest positive exclusion, which starts the next search
-    used = frozenset()  # the data columns of its witness columns
+    masks = [0] * pattern.N  # per data column: bit k set when positive exclusion k's witnesses use it
+    full = 0  # one bit per positive exclusion
 
     def excludes(barred: frozenset[int]) -> bool:
         """Whether the base matrix keeps a certificate with the data columns `barred` barred."""
-        nonlocal last, used
-        if last is not None and used.isdisjoint(barred):
-            return True  # last's witnesses are on `base` and avoid the barred columns
+        nonlocal last, full
+        union = 0
+        for j in barred:
+            union |= masks[j]
+        if union != full:
+            return True  # some positive exclusion's witnesses, on `base`, avoid every barred column
         cert = certificate(base, r, warm_from=last, barred=barred)
         if found := cert.verdict != certify.Verdict.REFUTED:
-            last = cert
-            used = frozenset(base.origins[c] for c in cert.finite_witness + (cert.unique_witness or ()))
+            last, bit = cert, full + 1
+            full |= bit
+            for j in {base.origins[c] for c in cert.finite_witness + (cert.unique_witness or ())}:
+                masks[j] |= bit
         return found
 
-    refuted = None  # the first refuted block, once blocks were searched
     if need:
         m = max(1, (len(set(base.origins)) - witnesses) // (2 * need))
-        groups = tuple(range(-(-pattern.N // m)))
-        size = min(need, len(groups))
-        for block in combinations(groups, size):
-            if not excludes(frozenset(j for j in range(pattern.N) if j // m in block)):
-                refuted = block
-                break
-        else:
+        groups = -(-pattern.N // m)
+        blocks = combinations(range(groups), min(need, groups))
+        if all(excludes(frozenset(j for j in range(pattern.N) if j // m in block)) for block in blocks):
             return RobustVerdict(positive, checked=total)
 
     excluded: dict[frozenset[int], bool] = {}  # touched data columns: cleared without a direct search?
@@ -230,10 +232,8 @@ def _verify(
     for removal in enumerate_removals(pattern, need):
         checked += 1
         touched = frozenset(j for _, j in removal.cells)
-        if refuted is not None and touched not in excluded:
-            # J lies in a positive block iff the first block holding its groups precedes the refuted one
-            first = next(_supersets(tuple(sorted({j // m for j in touched})), groups, size))
-            excluded[touched] = first < refuted or excludes(touched)
+        if need and touched not in excluded:
+            excluded[touched] = excludes(touched)
         if excluded.get(touched):
             continue
         cm = build_constraint_matrix(remove_entries(pattern, removal), r) if removal.cells else base

@@ -16,9 +16,10 @@ of an l-by-N array per step for all columns, in O(N*l) memory, and the
 sorted columns, valid by construction, skip the public constructor's
 per-column check.  At l = d the words are still drawn, but every column
 holds every row without Floyd's steps: step j draws at most j while rows
-0..j-1 are taken, so it takes j.  A finite global:0 level with l = r < d is
-known without sampling: no column has a constraint column while a witness
-needs r*(d-r) > 0 of them, so every trial is refuted.
+0..j-1 are taken, so it takes j; every trial of an l = d level has that one
+pattern, so the first trial's verdict counts for all.  A finite global:0
+level with l = r < d is known without sampling: no column has a constraint
+column while a witness needs r*(d-r) > 0 of them, so every trial is refuted.
 """
 
 from __future__ import annotations
@@ -128,19 +129,20 @@ def estimate_pass_probability(cfg: TrialConfig) -> TrialOutcome:
         # so every trial is Refuted with the premise met, known unsampled
         return TrialOutcome(0, cfg.trials, 0.0, *wilson_interval(0, cfg.trials))
     verifier = robust.verify_unique if unique else robust.verify_finite
+    repeats = cfg.trials if cfg.l == cfg.d else 1  # trials sharing one pattern, the whole grid at l = d
     passes = 0
     premise_failures = 0
     indeterminate = 0
-    for trial in range(cfg.trials):
+    for trial in range(cfg.trials // repeats):
         rng = np.random.default_rng([cfg.seed, trial])
         pattern = sample_pattern(cfg.d, cfg.N, cfg.l, rng)
         verdict = verifier(pattern, cfg.r, cfg.budget, enumeration_cap=DEFAULT_TRIAL_ENUMERATION_CAP)
         if verdict.verdict in (robust.RobustOutcome.FINITE, robust.RobustOutcome.UNIQUE):
-            passes += 1
+            passes += repeats
         elif verdict.premise_violation:
-            premise_failures += 1
+            premise_failures += repeats
         elif verdict.verdict == robust.RobustOutcome.INDETERMINATE:
-            indeterminate += 1
+            indeterminate += repeats
     lo, hi = wilson_interval(passes, cfg.trials)
     return TrialOutcome(
         passes, cfg.trials, passes / cfg.trials, lo, hi, premise_failures, indeterminate

@@ -201,7 +201,7 @@ def _resolve_every_removal(pattern, r, budget, unique, find) -> dict:
     return RobustVerdict(positive, checked).to_dict()
 
 
-class TestWitnessFilter:
+class TestSkippedRemovals:
     def test_matches_resolving_every_removal(self, monkeypatch):
         # finite global:0-2 and unique global:0-1 on d <= 7, r <= 2, with N
         # around the number of origins the witnesses need, so both verdicts
@@ -395,6 +395,50 @@ class TestExclusion:
         assert {last.cm.origins[c] for c in last.finite_witness + last.unique_witness}.isdisjoint(range(28, 32))
 
 
+
+def _lookup_cases():
+    """(pattern, unique, s) at r=2: finite global:1 on 8x16 and unique global:0 on 8x32, in turn."""
+    for seed in range(24):
+        yield sim.sample_pattern(8, 16, 3 + seed % 4, np.random.default_rng(seed)), False, 1
+        yield sim.sample_pattern(8, 32, 3 + seed % 3, np.random.default_rng(seed)), True, 0
+
+
+class TestWitnessLookup:
+    def test_no_search_bars_only_columns_a_positive_witness_avoids(self, monkeypatch):
+        # a positive exclusion's witnesses are columns of the base matrix, so
+        # they decide every barred set that avoids their data columns, whatever
+        # set they were searched with: no later search bars only such columns
+        find = {False: certify.find_finite_certificate, True: certify.find_unique_certificate}
+        used = []  # per positive exclusion of the case: its witnesses' data columns
+        avoided, searched = [], 0  # barred sets some positive exclusion's witnesses avoid
+
+        def counted(original):
+            def certificate(cm, r, warm_from=None, barred=frozenset()):
+                nonlocal searched
+                cert = original(cm, r, warm_from, barred)
+                if barred:
+                    searched += 1
+                    if any(columns.isdisjoint(barred) for columns in used):
+                        avoided.append(barred)
+                    if cert.verdict != certify.Verdict.REFUTED:
+                        used.append({cm.origins[c] for c in cert.finite_witness + (cert.unique_witness or ())})
+                return cert
+
+            return certificate
+
+        monkeypatch.setattr(certify, "find_finite_certificate", counted(find[False]))
+        monkeypatch.setattr(certify, "find_unique_certificate", counted(find[True]))
+        outcomes = set()
+        for pattern, unique, s in _lookup_cases():
+            used.clear()
+            budget = NoiseBudget.global_noise(s)
+            verdict = (verify_unique if unique else verify_finite)(pattern, 2, budget)
+            assert verdict.to_dict() == _resolve_every_removal(pattern, 2, budget, unique, find[unique])
+            outcomes.add(verdict.verdict)
+        assert avoided == [] and searched > 0
+        assert {RobustOutcome.FINITE, RobustOutcome.UNIQUE, RobustOutcome.REFUTED} <= outcomes
+
+
 def _oversampled_cases():
     """(pattern, r) with at least r observed rows per column and N from 6W to
     9W, W = r*(d-r) the finite witness size.  In the first third of the data
@@ -532,6 +576,11 @@ class TestResearchScale:
         pattern = sim.sample_pattern(32, 130, 12, np.random.default_rng(0))
         verdict = verify_unique(pattern, 3, NoiseBudget.global_noise(0))
         assert verdict == RobustVerdict(RobustOutcome.UNIQUE, checked=1560)
+
+    def test_finite_global_two(self):
+        pattern = sim.sample_pattern(32, 93, 12, np.random.default_rng(0))
+        verdict = verify_finite(pattern, 3, NoiseBudget.global_noise(2))
+        assert verdict == RobustVerdict(RobustOutcome.FINITE, checked=622170)
 
 
 class TestGMonotonicity:

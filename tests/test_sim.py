@@ -69,6 +69,29 @@ class TestEstimate:
         cfg = TrialConfig(3, 8, 3, 3, NoiseBudget.global_noise(0), trials=5, seed=0)
         assert estimate_pass_probability(cfg).pass_count == 5
 
+    @pytest.mark.parametrize(
+        "cfg, passes, premise_failures",
+        [
+            (TrialConfig(20, 600, 2, 20, NoiseBudget.global_noise(0), trials=50, seed=0), 50, 0),
+            (TrialConfig(3, 8, 2, 3, NoiseBudget.global_noise(1), trials=7, seed=0, target="unique"), 0, 7),
+        ],
+        ids=["passes", "premise"],
+    )
+    def test_whole_grid_level_verified_once(self, monkeypatch, cfg, passes, premise_failures):
+        # l = d: every trial's pattern is the whole grid, so one verdict counts for all
+        name = "verify_unique" if cfg.target == "unique" else "verify_finite"
+        verify, calls = getattr(robust, name), []
+
+        def counted(pattern, *args, **kwargs):
+            calls.append(pattern)
+            return verify(pattern, *args, **kwargs)
+
+        monkeypatch.setattr(robust, name, counted)
+        interval = wilson_interval(passes, cfg.trials)
+        expected = TrialOutcome(passes, cfg.trials, passes / cfg.trials, *interval, premise_failures)
+        assert estimate_pass_probability(cfg) == expected
+        assert len(calls) == 1
+
     def test_deterministic_per_seed(self):
         cfg = TrialConfig(8, 10, 2, 4, NoiseBudget.global_noise(0), trials=25, seed=42)
         assert estimate_pass_probability(cfg) == estimate_pass_probability(cfg)
